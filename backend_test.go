@@ -4,7 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/graph"
@@ -12,6 +15,7 @@ import (
 	"repro/internal/check"
 	"repro/internal/incremental"
 	"repro/internal/native"
+	"repro/internal/pool"
 )
 
 // generatorZoo covers every generator family the graph package offers,
@@ -230,70 +234,160 @@ func TestBackendTextMarshal(t *testing.T) {
 	}
 }
 
-// TestBackendEquivalenceGrainSweep: the partition must not depend on
-// the scheduler claim grain. Degenerate (1), prime (7), legacy (4096),
-// and adaptive (0) grains on both engines, against the sequential
-// union-find oracle; Stats must echo the grain that ran.
-func TestBackendEquivalenceGrainSweep(t *testing.T) {
+// TestBackendEquivalenceWorkersSweep: the partition must not depend on
+// the worker count, the one scheduler knob left. At 1, 2, 7 and 16
+// workers both engines solve one-shot through the public API, and the
+// incremental engine also replays the graph as three span batches;
+// every result must induce the sequential union-find partition, and
+// Stats must echo the worker count that ran. Under -race this doubles
+// as the scheduler stress test.
+func TestBackendEquivalenceWorkersSweep(t *testing.T) {
 	names := []string{"path", "binary-tree", "gnm", "clique-beads", "isolated"}
 	zoo := generatorZoo()
 	for _, name := range names {
 		g := zoo[name]
 		oracle := baseline.Components(g)
-		for _, grain := range []int{1, 7, 4096, 0} {
-			t.Run(fmt.Sprintf("%s/grain=%d", name, grain), func(t *testing.T) {
+		for _, w := range []int{1, 2, 7, 16} {
+			t.Run(fmt.Sprintf("%s/workers=%d", name, w), func(t *testing.T) {
 				for _, bk := range []Backend{BackendNative, BackendIncremental} {
-					res, err := Components(g, WithBackend(bk), WithGrain(grain))
+					res, err := Components(g, WithBackend(bk), WithWorkers(w))
 					if err != nil {
 						t.Fatal(err)
 					}
-					if res.Stats.Grain != grain {
-						t.Fatalf("%v Stats.Grain = %d, want %d", bk, res.Stats.Grain, grain)
+					if res.Stats.Workers != w {
+						t.Fatalf("%v Stats.Workers = %d, want %d", bk, res.Stats.Workers, w)
 					}
 					if err := check.SamePartition(res.Labels, oracle); err != nil {
-						t.Fatalf("%v grain=%d vs union-find: %v", bk, grain, err)
+						t.Fatalf("%v vs union-find: %v", bk, err)
 					}
+				}
+				eng := incremental.New(g.N, incremental.Options{Workers: w})
+				defer eng.Close()
+				for _, span := range g.SpanBatches(3) {
+					if _, err := eng.AddSpan(span); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := check.SamePartition(eng.Snapshot().Labels, oracle); err != nil {
+					t.Fatalf("batched incremental vs union-find: %v", err)
 				}
 			})
 		}
 	}
 }
 
-// TestEngineOptionMatrixEquivalence sweeps the scheduler knobs the
-// public API deliberately does not expose — affinity stealing and the
-// native fused-sweep arc packing — through the internal engine options,
-// crossed with degenerate and adaptive grains. Every cell must induce
-// the oracle partition; under -race this doubles as the scheduler
-// stress test.
+// unionFindSweeps labels the vertices of g with the two sweeps a native
+// solve runs — incremental.Union over edges, then an incremental.Find
+// flatten — applied to each span in turn, as the incremental engine
+// ingests and publishes batches. Each sweep is claimed through a
+// pool.Shard under an explicit schedule: grain is the claim size
+// (≤ 0 adaptive); affinity gives each of the workers its sticky home
+// range, while without it every worker claims from one shared cursor;
+// allArcs sweeps the mirror arcs too, so every edge is linked from
+// both orientations concurrently. After every span the labels must
+// already be flat and canonical: each label a root no larger than its
+// vertex.
+func unionFindSweeps(t *testing.T, n int, spans []graph.EdgeSpan, workers, grain int, affinity, allArcs bool) []int32 {
+	t.Helper()
+	labels := make([]int32, n)
+	for i := range labels {
+		labels[i] = int32(i)
+	}
+	var s pool.Shard
+	sweep := func(total int, body func(i int)) {
+		ranges := 1
+		if affinity {
+			ranges = workers
+		}
+		s.Init(total, grain, ranges, func(_, lo, hi int) bool {
+			for i := lo; i < hi; i++ {
+				body(i)
+			}
+			return true
+		})
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				s.Work(w)
+			}(w)
+		}
+		wg.Wait()
+	}
+	for b, span := range spans {
+		if allArcs {
+			sweep(len(span.U), func(j int) { incremental.Union(labels, span.U[j], span.V[j]) })
+		} else {
+			sweep(span.Len(), func(i int) { incremental.Union(labels, span.U[2*i], span.V[2*i]) })
+		}
+		sweep(n, func(v int) { atomic.StoreInt32(&labels[v], incremental.Find(labels, int32(v))) })
+		for v, l := range labels {
+			if l > int32(v) || labels[l] != l {
+				t.Fatalf("after span %d: labels[%d] = %d, labels[%d] = %d; want a root ≤ %d", b, v, l, l, labels[l], v)
+			}
+		}
+	}
+	return labels
+}
+
+// TestBackendEquivalenceGrainSweep: the labeling must not depend on
+// the scheduler claim grain. The engines always claim at adaptive
+// grain, so the grain is pinned where it is still a parameter, the
+// pool.Shard behind every sharded sweep: degenerate (1), prime (7),
+// ceiling (4096) and adaptive (0) grains at 4 workers must all yield
+// exactly the minimum-id labeling, which is also what the native
+// engine returns.
+func TestBackendEquivalenceGrainSweep(t *testing.T) {
+	names := []string{"path", "binary-tree", "gnm", "clique-beads", "isolated"}
+	zoo := generatorZoo()
+	for _, name := range names {
+		g := zoo[name]
+		want := baseline.MinComponents(g)
+		if got := native.Components(g, 4).Labels; !slices.Equal(got, want) {
+			t.Fatalf("%s: native labels are not the minimum-id labeling", name)
+		}
+		for _, grain := range []int{1, 7, 4096, 0} {
+			t.Run(fmt.Sprintf("%s/grain=%d", name, grain), func(t *testing.T) {
+				got := unionFindSweeps(t, g.N, []graph.EdgeSpan{g.Span()}, 4, grain, true, false)
+				if !slices.Equal(got, want) {
+					t.Fatal("labels differ from the minimum-id labeling")
+				}
+			})
+		}
+	}
+}
+
+// TestEngineOptionMatrixEquivalence crosses the schedules the engines
+// never pick themselves — degenerate grain, one shared claim cursor
+// instead of sticky home ranges (noaff), and sweeping every arc
+// instead of one arc per edge (nopack) — over the union-find sweeps
+// both engines run: native as one whole-graph pass, incremental as
+// three span batches each followed by a flatten. Every cell must yield
+// exactly the minimum-id labeling; under -race this doubles as the
+// scheduler stress test.
 func TestEngineOptionMatrixEquivalence(t *testing.T) {
+	const workers = 4
 	zoo := generatorZoo()
 	for _, name := range []string{"gnm", "clique-beads", "binary-tree"} {
 		g := zoo[name]
-		oracle := baseline.Components(g)
+		want := baseline.MinComponents(g)
 		for _, grain := range []int{1, 0} {
 			for _, noAff := range []bool{false, true} {
 				for _, noPack := range []bool{false, true} {
-					opt := native.Options{Grain: grain, NoAffinity: noAff, NoPack: noPack}
 					t.Run(fmt.Sprintf("native/%s/grain=%d,noaff=%v,nopack=%v", name, grain, noAff, noPack),
 						func(t *testing.T) {
-							res := native.Components(g, opt)
-							if err := check.SamePartition(res.Labels, oracle); err != nil {
-								t.Fatal(err)
+							got := unionFindSweeps(t, g.N, []graph.EdgeSpan{g.Span()}, workers, grain, !noAff, noPack)
+							if !slices.Equal(got, want) {
+								t.Fatal("labels differ from the minimum-id labeling")
 							}
 						})
 				}
-				opt := incremental.Options{Grain: grain, NoAffinity: noAff}
 				t.Run(fmt.Sprintf("incremental/%s/grain=%d,noaff=%v", name, grain, noAff),
 					func(t *testing.T) {
-						eng := incremental.New(g.N, opt)
-						defer eng.Close()
-						for _, span := range g.SpanBatches(3) {
-							if _, err := eng.AddSpan(span); err != nil {
-								t.Fatal(err)
-							}
-						}
-						if err := check.SamePartition(eng.Snapshot().Labels, oracle); err != nil {
-							t.Fatal(err)
+						got := unionFindSweeps(t, g.N, g.SpanBatches(3), workers, grain, !noAff, false)
+						if !slices.Equal(got, want) {
+							t.Fatal("labels differ from the minimum-id labeling")
 						}
 					})
 			}
@@ -302,13 +396,18 @@ func TestEngineOptionMatrixEquivalence(t *testing.T) {
 }
 
 // TestNativeConvergesUnderConcurrentSweeps exercises the native engine
-// repeatedly on the same long-lived instance with a tiny grain, so the
-// sharded scheduler issues many concurrent chunk claims per sweep;
-// meant to run under -race.
+// repeatedly on the same long-lived instance over a graph large enough
+// that adaptive grain still issues 8 chunk claims per worker on the
+// edge sweep at 4 workers, so claims and steals race; meant to run
+// under -race.
 func TestNativeConvergesUnderConcurrentSweeps(t *testing.T) {
-	g := graph.CliqueBeads(graph.CliqueBeadsSpec{Beads: 24, Size: 10, IntraDeg: 6, Bridges: 2, Seed: 21})
+	const workers = 4
+	g := graph.CliqueBeads(graph.CliqueBeadsSpec{Beads: 64, Size: 16, IntraDeg: 8, Bridges: 2, Seed: 21})
+	if m := g.NumEdges(); m < workers*8*pool.MinGrain {
+		t.Fatalf("graph has %d edges, want ≥ %d so every worker claims 8 chunks", m, workers*8*pool.MinGrain)
+	}
 	oracle := baseline.Components(g)
-	eng := native.NewEngineOpt(native.Options{Workers: 4, Grain: 1})
+	eng := native.NewEngine(workers)
 	defer eng.Close()
 	labels := make([]int32, g.N)
 	for i := 0; i < 8; i++ {
@@ -321,29 +420,27 @@ func TestNativeConvergesUnderConcurrentSweeps(t *testing.T) {
 	}
 }
 
-// FuzzBackendEquivalence: arbitrary multigraphs, worker counts, grain
-// choices, and batch splits — native, one-shot incremental, batched
-// incremental, and union-find must always agree.
+// FuzzBackendEquivalence: arbitrary multigraphs, worker counts, and
+// batch splits — native, one-shot incremental, batched incremental,
+// and union-find must always agree.
 func FuzzBackendEquivalence(f *testing.F) {
-	f.Add(uint16(10), uint16(20), int64(1), uint8(0), uint8(1), uint8(0))
-	f.Add(uint16(100), uint16(50), int64(2), uint8(1), uint8(3), uint8(1))
-	f.Add(uint16(1), uint16(0), int64(3), uint8(4), uint8(0), uint8(2))
-	f.Add(uint16(300), uint16(2000), int64(4), uint8(16), uint8(13), uint8(3))
-	f.Fuzz(func(t *testing.T, nRaw, mRaw uint16, gseed int64, workersRaw, batchesRaw, grainRaw uint8) {
+	f.Add(uint16(10), uint16(20), int64(1), uint8(0), uint8(1))
+	f.Add(uint16(100), uint16(50), int64(2), uint8(1), uint8(3))
+	f.Add(uint16(1), uint16(0), int64(3), uint8(4), uint8(0))
+	f.Add(uint16(300), uint16(2000), int64(4), uint8(16), uint8(13))
+	f.Fuzz(func(t *testing.T, nRaw, mRaw uint16, gseed int64, workersRaw, batchesRaw uint8) {
 		n := int(nRaw%400) + 1
 		m := int(mRaw % 1500)
-		// 0 = adaptive sizing; 1 = degenerate; 7 = ragged; 4096 = legacy.
-		grain := []int{0, 1, 7, 4096}[grainRaw%4]
 		g := graph.Gnm(n, m, gseed)
 		oracle := baseline.Components(g)
-		res, err := Components(g, WithBackend(BackendNative), WithWorkers(int(workersRaw%17)), WithGrain(grain))
+		res, err := Components(g, WithBackend(BackendNative), WithWorkers(int(workersRaw%17)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := check.SamePartition(res.Labels, oracle); err != nil {
 			t.Fatal(err)
 		}
-		one, err := Components(g, WithBackend(BackendIncremental), WithWorkers(int(workersRaw%17)), WithGrain(grain))
+		one, err := Components(g, WithBackend(BackendIncremental), WithWorkers(int(workersRaw%17)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -353,7 +450,7 @@ func FuzzBackendEquivalence(f *testing.F) {
 			}
 		}
 		// Batched replay: the partition must not depend on the split.
-		inc, err := NewIncremental(g.N, WithWorkers(int(workersRaw%17)), WithGrain(grain))
+		inc, err := NewIncremental(g.N, WithWorkers(int(workersRaw%17)))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -77,9 +77,7 @@ func benchGraph() *graph.Graph {
 	return graph.Gnm(100000, 400000, 42)
 }
 
-// BenchmarkComponentsBackends is the benchstat anchor compared by
-// scripts/bench_baseline.sh against the intentional baseline in
-// internal/bench/testdata/baseline.txt: the same workload through the
+// BenchmarkComponentsBackends runs the same workload through the
 // Components entry point on every registered backend. Since the
 // Solver redesign, Components reuses a process-shared engine per
 // (backend, workers) pair, so this measures the steady-state serving

@@ -26,7 +26,6 @@ func run(args []string, in io.Reader, out io.Writer) error {
 	forest := fs.Bool("forest", false, "also compute a spanning forest (Thm 2)")
 	batches := fs.Int("batches", 0, "replay the edges in K batches through the streaming incremental backend, reporting per-batch latency (0 = one-shot run)")
 	workers := fs.Int("workers", 0, "worker goroutines for the run — one-shot and -batches alike (0 = GOMAXPROCS)")
-	grain := fs.Int("grain", 0, "scheduler claim grain for the native and incremental engines (0 = adaptive sizing)")
 	seed := fs.Uint64("seed", 1, "random seed")
 	verbose := fs.Bool("v", false, "print per-vertex labels")
 	if err := fs.Parse(args); err != nil {
@@ -70,7 +69,7 @@ func run(args []string, in io.Reader, out io.Writer) error {
 		if conflict != nil {
 			return conflict
 		}
-		return runBatches(g, *batches, *workers, *grain, *verbose, out)
+		return runBatches(g, *batches, *workers, *verbose, out)
 	}
 
 	if backend != pramcc.BackendSimulated {
@@ -89,31 +88,18 @@ func run(args []string, in io.Reader, out io.Writer) error {
 		if conflict != nil {
 			return conflict
 		}
-		res, err := pramcc.Components(g, pramcc.WithBackend(backend), pramcc.WithWorkers(*workers), pramcc.WithGrain(*grain))
+		res, err := pramcc.Components(g, pramcc.WithBackend(backend), pramcc.WithWorkers(*workers))
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "n=%d m=%d components=%d rounds=%d workers=%d grain=%s backend=%v wall=%v\n",
-			g.N, g.NumEdges(), res.NumComponents, res.Stats.Rounds, res.Stats.Workers, grainLabel(res.Stats.Grain), res.Stats.Backend, res.Stats.Wall)
+		fmt.Fprintf(out, "n=%d m=%d components=%d rounds=%d workers=%d backend=%v wall=%v\n",
+			g.N, g.NumEdges(), res.NumComponents, res.Stats.Rounds, res.Stats.Workers, res.Stats.Backend, res.Stats.Wall)
 		if *verbose {
 			for v, l := range res.Labels {
 				fmt.Fprintf(out, "%d %d\n", v, l)
 			}
 		}
 		return nil
-	}
-
-	// The simulator schedules through the same shard machinery but
-	// always sizes its grain adaptively; reject an explicitly-set
-	// -grain rather than silently ignore it.
-	var conflict error
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "grain" {
-			conflict = fmt.Errorf("-grain is not supported with the simulated backend (the simulator always sizes its scheduler grain adaptively)")
-		}
-	})
-	if conflict != nil {
-		return conflict
 	}
 
 	// -workers used to be consulted only by -batches; the one-shot
@@ -155,23 +141,14 @@ func run(args []string, in io.Reader, out io.Writer) error {
 	return nil
 }
 
-// grainLabel renders a claim-grain value for the run summary: the
-// fixed grain, or "adaptive" for the 0 default.
-func grainLabel(n int) string {
-	if n == 0 {
-		return "adaptive"
-	}
-	return fmt.Sprintf("%d", n)
-}
-
 // runBatches replays g's edges in k batches through the streaming
 // incremental backend, printing one latency line per batch and a
 // final summary. The replay is columnar end-to-end: each batch is a
 // zero-copy SpanBatches slice of the loaded graph's arc columns,
 // ingested with AddSpan, so nothing between the loader and the
 // union-find materializes a [][2]int edge list.
-func runBatches(g *graph.Graph, k, workers, grain int, verbose bool, out io.Writer) error {
-	inc, err := pramcc.NewIncremental(g.N, pramcc.WithWorkers(workers), pramcc.WithGrain(grain))
+func runBatches(g *graph.Graph, k, workers int, verbose bool, out io.Writer) error {
+	inc, err := pramcc.NewIncremental(g.N, pramcc.WithWorkers(workers))
 	if err != nil {
 		return err
 	}
@@ -186,8 +163,8 @@ func runBatches(g *graph.Graph, k, workers, grain int, verbose bool, out io.Writ
 		fmt.Fprintf(out, "batch %d/%d: edges=%d total-edges=%d components=%d wall=%v\n",
 			bs.Batch, len(batches), bs.Edges, bs.TotalEdges, bs.Components, bs.Wall)
 	}
-	fmt.Fprintf(out, "n=%d m=%d components=%d batches=%d grain=%s backend=incremental\n",
-		g.N, g.NumEdges(), inc.ComponentCount(), inc.BatchCount(), grainLabel(grain))
+	fmt.Fprintf(out, "n=%d m=%d components=%d batches=%d backend=incremental\n",
+		g.N, g.NumEdges(), inc.ComponentCount(), inc.BatchCount())
 	if verbose {
 		for v, l := range inc.LabelsInto(nil) {
 			fmt.Fprintf(out, "%d %d\n", v, l)

@@ -26,8 +26,9 @@
 // the worker pool and the pre-sized scratch/label buffers — so
 // repeated Solve(ctx, g) calls amortize all allocation (zero
 // steady-state allocations on the native backend), honour
-// context.Context cancellation and deadlines at every round or batch
-// boundary, and fail fast on already-cancelled contexts. On top of the
+// context.Context cancellation and deadlines at every simulated round
+// and every claimed chunk of the engines' sweeps, and fail fast on
+// already-cancelled contexts. On top of the
 // Solver sits Service, the serving layer: it publishes each completed
 // labeling as an immutable snapshot through an atomic pointer, so
 // SameComponent/Labels/NumComponents queries are answered lock-free
@@ -60,12 +61,13 @@
 // algorithm-specific entry points above always use: every model step
 // is a barrier and every model cost is accounted, which is the point —
 // and which makes it orders of magnitude slower than the hardware.
-// BackendNative (internal/native) is a shared-memory engine —
-// goroutines with atomic CAS-min on the label array, edge ranges
+// BackendNative (internal/native) is a shared-memory engine — one
+// concurrent union-find pass over the label array, edge ranges
 // sharded over a reusable worker pool — that computes the identical
-// partition as fast as the hardware allows and fills only the real
-// Stats fields (Backend, Wall, Workers, Rounds), leaving the
-// model-only ones zero. BackendIncremental (internal/incremental) is
+// partition as fast as the hardware allows, labels each vertex by its
+// component's minimum id, and fills only the real Stats fields
+// (Backend, Wall, Workers, and Rounds = 1), leaving the model-only
+// ones zero. BackendIncremental (internal/incremental) is
 // a lock-free concurrent union-find (CAS link-by-index with path
 // splitting) built for streaming: under Components it ingests the
 // whole graph as one batch and returns the same partition as the
@@ -111,7 +113,8 @@
 // SetEventSink attaches a process-wide EventSink (NewJSONEventSink
 // writes one JSON object per line) and turns on Event envelopes —
 // source/category/name/status/duration_ms/measures — emitted at
-// engine round/batch boundaries and per Service Update/IngestSpan/
+// simulated round and incremental batch boundaries, on cancelled
+// native runs, and per Service Update/IngestSpan/
 // Grow call. With no sink attached (the default) no envelope is ever
 // built, so the zero-allocation guarantees of the span-ingest and
 // solver paths hold unchanged. The cmd/ccserve binary serves
@@ -176,7 +179,7 @@
 //
 // The invariants above — snapshots touched only through their atomic
 // methods and never mutated after publication, zero-allocation ingest
-// interiors, ctx checks at every engine round boundary, WAL append
+// interiors, ctx checks in every engine round and sweep, WAL append
 // before snapshot publish, pramcc_-prefixed documented metric names —
 // are enforced statically by cmd/cclint, the custom analyzer suite in
 // internal/analysis, wired into CI as a required gate. Hot paths are

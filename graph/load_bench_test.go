@@ -6,10 +6,8 @@ import (
 	"testing"
 )
 
-// The loader benchmarks share one serialized ~1M-edge workload; they
-// are part of the benchstat baseline (scripts/bench_baseline.sh) so
-// ingestion-throughput regressions show up the same way engine
-// regressions do.
+// The loader benchmarks share one serialized ~1M-edge workload, so
+// text, parallel-text, and binary loads are compared on equal input.
 var loadBenchOnce struct {
 	once sync.Once
 	txt  []byte

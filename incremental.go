@@ -40,7 +40,7 @@ type BatchStats struct {
 }
 
 // NewIncremental returns a streaming handle over n isolated vertices.
-// Only WithWorkers and WithGrain are consulted among the options; the
+// Only WithWorkers is consulted among the options; the
 // engine has no randomness and no model-cost accounting. Close must be
 // called to release the worker pool.
 func NewIncremental(n int, opts ...Option) (*Incremental, error) {
@@ -48,7 +48,7 @@ func NewIncremental(n int, opts ...Option) (*Incremental, error) {
 		return nil, fmt.Errorf("pramcc: negative vertex count %d", n)
 	}
 	c := apply(opts)
-	return &Incremental{eng: incremental.New(n, incremental.Options{Workers: c.workers, Grain: c.grain})}, nil
+	return &Incremental{eng: incremental.New(n, incremental.Options{Workers: c.workers})}, nil
 }
 
 // AddEdges ingests one batch of undirected edges {v,w} and returns the

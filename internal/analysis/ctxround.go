@@ -26,7 +26,8 @@ var ctxroundTargets = map[string]bool{
 //     context.Context value), every unbounded `for` loop must reach a
 //     ctx check — reference ctx in its condition or body, directly or
 //     inside a nested closure. Deleting the ctx.Err() at the top of
-//     the native engine's round loop trips this rule.
+//     the simulated engine's round loop (internal/core) trips this
+//     rule.
 //  2. An exported function that directly contains an unbounded loop
 //     must be context-aware: engine entry points accept a
 //     context.Context (or a Params struct carrying one) so callers can
@@ -217,7 +218,7 @@ func boundedLoop(info *types.Info, loop *ast.ForStmt) bool {
 }
 
 // casRetryLoop reports whether loop's direct body performs a
-// compare-and-swap — the lock-free retry shape (casMin, union-by-CAS,
+// compare-and-swap — the lock-free retry shape (find/union-by-CAS,
 // budget max-combining) that finishes in bounded contention retries.
 func casRetryLoop(loop *ast.ForStmt) bool {
 	found := false

@@ -63,6 +63,25 @@ func Components(g *graph.Graph) []int32 {
 	return out
 }
 
+// MinComponents is Components with every label replaced by the minimum
+// vertex id of its component — the canonical labeling the native and
+// incremental engines both produce, so tests can compare them to it
+// elementwise.
+func MinComponents(g *graph.Graph) []int32 {
+	out := Components(g)
+	least := make([]int32, g.N)
+	for i := range least {
+		least[i] = -1
+	}
+	for v, r := range out {
+		if least[r] < 0 {
+			least[r] = int32(v) // first visit in ascending v is the minimum
+		}
+		out[v] = least[r]
+	}
+	return out
+}
+
 // SpanningForestSeq returns the edge indices (arc-pair indices into
 // g.Edges()) of a spanning forest computed sequentially — the oracle
 // for the forest size n − #components.

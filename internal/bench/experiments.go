@@ -37,27 +37,6 @@ const (
 	Full
 )
 
-// grainOverride is the scheduler claim grain the wall-clock
-// experiments (E11, E12, E14) pass to the native and incremental
-// engines: 0, the default, selects adaptive sizing. ccbench -grain
-// sets it once before any experiment runs; the affected tables report
-// the active value in their notes so a snapshot is self-describing.
-// E17 ignores the override — sweeping the grain is its whole job.
-var grainOverride int
-
-// SetGrain sets the claim-grain override consulted by the wall-clock
-// experiments (see grainOverride).
-func SetGrain(n int) { grainOverride = n }
-
-// grainNote renders the active grain for experiment notes, in the
-// same adaptive-or-fixed form ccfind prints in its run summary.
-func grainNote() string {
-	if grainOverride == 0 {
-		return "grain = adaptive"
-	}
-	return fmt.Sprintf("grain = %d (-grain override)", grainOverride)
-}
-
 // Experiment is a runnable experiment.
 type Experiment struct {
 	ID    string
@@ -84,7 +63,6 @@ func All() []Experiment {
 		{"E14", "streaming ingest throughput: columnar spans vs boxed pairs", E14},
 		{"E15", "observability overhead: sink off vs no-op sink vs JSON sink", E15},
 		{"E16", "span coalescing under queued multi-tenant load: off vs on", E16},
-		{"E17", "grain scheduler: adaptive sizing × affinity × packed arcs", E17},
 	}
 }
 
@@ -577,7 +555,7 @@ func E11(scale Scale) *Table {
 		same := true
 		var simD, natD time.Duration
 		for _, bk := range pramcc.Backends() {
-			res, err := pramcc.Components(w.g, pramcc.WithBackend(bk), pramcc.WithSeed(19), pramcc.WithGrain(grainOverride))
+			res, err := pramcc.Components(w.g, pramcc.WithBackend(bk), pramcc.WithSeed(19))
 			if err != nil {
 				row = append(row, "err")
 				same = false
@@ -605,15 +583,15 @@ func E11(scale Scale) *Table {
 		t.Add(row...)
 	}
 	t.Notes = append(t.Notes,
-		"columns enumerate the pramcc backend registry (simulated = Theorem-3 EXPAND-MAXLINK on the step-barrier PRAM simulator; native = CAS-min engine; incremental = union-find fed one batch)",
-		"unionfind = sequential single-core anchor; workers = GOMAXPROCS; "+grainNote()+"; wall clock is host-dependent, track trends not absolutes")
+		"columns enumerate the pramcc backend registry (simulated = Theorem-3 EXPAND-MAXLINK on the step-barrier PRAM simulator; native = one-pass concurrent union-find; incremental = streaming union-find fed one batch)",
+		"unionfind = sequential single-core anchor; workers = GOMAXPROCS; wall clock is host-dependent, track trends not absolutes")
 	return t
 }
 
 // E12: the streaming scenario. An append-heavy workload arrives in K
 // batches; a consumer who wants fresh component answers after every
 // batch can either recompute from scratch with the one-shot native
-// engine (cost ≈ K × full multi-round run) or maintain the labeling
+// engine (cost ≈ K × full run) or maintain the labeling
 // with the incremental union-find engine (cost Θ(m) union work plus
 // K snapshot flattens of Θ(n) each — old edges are never rescanned).
 // The engineering claim: incremental total ingestion time is in the
@@ -659,7 +637,7 @@ func E12(scale Scale) *Table {
 		batches := w.g.SpanBatches(k)
 
 		// Incremental: one engine, K AddSpan batches.
-		eng := incremental.New(w.g.N, incremental.Options{Grain: grainOverride})
+		eng := incremental.New(w.g.N, incremental.Options{})
 		var incrTotal, incrWorst time.Duration
 		for _, b := range batches {
 			t0 := time.Now()
@@ -678,7 +656,7 @@ func E12(scale Scale) *Table {
 		// (what it pays to stay fresh after every batch): a full run
 		// on each growing prefix.
 		t0 := time.Now()
-		nat := native.Components(w.g, native.Options{Grain: grainOverride})
+		nat := native.Components(w.g, 0)
 		oneShot := time.Since(t0)
 		prefix := graph.New(w.g.N)
 		var recompute time.Duration
@@ -688,7 +666,7 @@ func E12(scale Scale) *Table {
 				prefix.AddEdge(int(u), int(v))
 			}
 			t0 = time.Now()
-			native.Components(prefix, native.Options{Grain: grainOverride})
+			native.Components(prefix, 0)
 			recompute += time.Since(t0)
 		}
 
@@ -699,7 +677,7 @@ func E12(scale Scale) *Table {
 	t.Notes = append(t.Notes,
 		"incr = internal/incremental lock-free union-find, one zero-copy AddSpan per batch (pramcc.Incremental / BackendIncremental)",
 		"recompute = a full native run after every batch, the non-streaming way to keep answers fresh",
-		"speedup = recompute / incr total; same labels = exact elementwise equality (both label by component minimum); "+grainNote())
+		"speedup = recompute / incr total; same labels = exact elementwise equality (both label by component minimum)")
 	return t
 }
 
@@ -862,7 +840,7 @@ func E14(scale Scale) *Table {
 		for _, k := range ks {
 			// Boxed replay: materialize the [][2]int batches from the
 			// resident graph, then one AddEdges per batch.
-			eng := incremental.New(w.g.N, incremental.Options{Grain: grainOverride})
+			eng := incremental.New(w.g.N, incremental.Options{})
 			t0 := time.Now()
 			for _, b := range w.g.EdgeBatches(k) {
 				eng.AddEdges(b)
@@ -873,7 +851,7 @@ func E14(scale Scale) *Table {
 
 			// Columnar replay: zero-copy span slices of the same graph,
 			// one AddSpan per batch.
-			eng = incremental.New(w.g.N, incremental.Options{Grain: grainOverride})
+			eng = incremental.New(w.g.N, incremental.Options{})
 			t0 = time.Now()
 			for _, b := range w.g.SpanBatches(k) {
 				eng.AddSpan(b)
@@ -892,7 +870,7 @@ func E14(scale Scale) *Table {
 		"pairs = g.EdgeBatches(K) + Engine.AddEdges: materializes [][2]int batches (16 bytes/edge) and re-validates boxed ints per edge",
 		"span = g.SpanBatches(K) + Engine.AddSpan: zero-copy arc-column slices (8 bytes/edge, no materialization), columnar validation",
 		"both sides time batch construction + ingestion on a fresh engine; the union-find and snapshot publication are identical",
-		"workers = GOMAXPROCS; same labels = exact elementwise equality of the final snapshots; "+grainNote())
+		"workers = GOMAXPROCS; same labels = exact elementwise equality of the final snapshots")
 	return t
 }
 
@@ -1136,121 +1114,4 @@ func budgetsForDefault(n int, density float64) func(int32) int64 {
 		}
 		return bs[len(bs)-1]
 	}
-}
-
-// E17: the locality-aware grain scheduler (PR 10). All four parallel
-// claim loops used to hard-code 4096-item claims off one shared
-// cursor; the shared internal/pool scheduler sizes the grain
-// adaptively (total/(workers·8), clamped to [64, 4096]) and gives
-// every worker a sticky home range, stealing from other ranges only
-// after its own is exhausted — and the refactor let the native engine
-// fuse its first link sweep with packing the arc endpoints into an
-// interleaved buffer that later sweeps read with half the memory
-// traffic of the stride-2 graph columns. The claim: the default
-// configuration (adaptive grain + affinity + packed arcs) beats the
-// legacy configuration (grain 4096, no affinity, no packing) by
-// ≥ 1.15× on the full-scale native solve, and every configuration
-// computes the identical partition.
-func E17(scale Scale) *Table {
-	t := &Table{
-		ID:    "E17",
-		Title: "grain scheduler: adaptive sizing × affinity × packed arcs",
-		Claim: "adaptive grain + affinity + packed arcs ≥ 1.15× over the legacy fixed-4096 configuration on the full-scale native solve; identical partitions in every cell",
-		Header: []string{"engine", "config", "median ms", "per-round ms", "rounds",
-			"speedup vs legacy", "same partition"},
-	}
-	trials, k := 3, 10
-	var g *graph.Graph
-	if scale == Full {
-		g = graph.Gnm(1_000_000, 10_000_000, 1)
-		trials, k = 5, 20
-	} else {
-		g = graph.Gnm(50_000, 400_000, 1)
-	}
-	uf := baseline.Components(g)
-	ms := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
-
-	// Native solve. Each configuration holds one long-lived engine and
-	// a reusable label buffer (the steady-state serving shape); trials
-	// interleave round-robin so host drift hits every configuration
-	// equally, and the median is scored.
-	natCfgs := []struct {
-		name string
-		opt  native.Options
-	}{
-		{"legacy: grain=4096, no affinity, no pack", native.Options{Grain: 4096, NoAffinity: true, NoPack: true}},
-		{"grain=4096 + affinity, no pack", native.Options{Grain: 4096, NoPack: true}},
-		{"grain=64 + affinity + pack", native.Options{Grain: 64}},
-		{"grain=1024 + affinity + pack", native.Options{Grain: 1024}},
-		{"adaptive + pack, no affinity", native.Options{NoAffinity: true}},
-		{"default: adaptive + affinity + pack", native.Options{}},
-	}
-	engines := make([]*native.Engine, len(natCfgs))
-	natLabels := make([][]int32, len(natCfgs))
-	natRounds := make([]int, len(natCfgs))
-	natDur := make([][]float64, len(natCfgs))
-	for i, c := range natCfgs {
-		engines[i] = native.NewEngineOpt(c.opt)
-		natLabels[i] = make([]int32, g.N)
-	}
-	// One untimed warm run per engine, then the scored trials.
-	for i := range natCfgs {
-		engines[i].Run(context.Background(), g, natLabels[i])
-	}
-	for trial := 0; trial < trials; trial++ {
-		for i := range natCfgs {
-			t0 := time.Now()
-			rounds, _ := engines[i].Run(context.Background(), g, natLabels[i])
-			natDur[i] = append(natDur[i], ms(time.Since(t0)))
-			natRounds[i] = rounds
-		}
-	}
-	legacy := median(natDur[0])
-	for i, c := range natCfgs {
-		med := median(natDur[i])
-		same := check.SamePartition(natLabels[i], uf) == nil
-		t.Add("native", c.name, med, med/float64(max(natRounds[i], 1)), natRounds[i], legacy/med, same)
-		engines[i].Close()
-	}
-
-	// Incremental replay: the graph arrives in K span batches on a
-	// fresh engine per trial (replay is inherently cold — a warm
-	// engine has nothing left to union). Per-round = per-batch.
-	incCfgs := []struct {
-		name string
-		opt  incremental.Options
-	}{
-		{"legacy: grain=4096, no affinity", incremental.Options{Grain: 4096, NoAffinity: true}},
-		{"grain=64 + affinity", incremental.Options{Grain: 64}},
-		{"default: adaptive + affinity", incremental.Options{}},
-	}
-	batches := g.SpanBatches(k)
-	incLabels := make([][]int32, len(incCfgs))
-	incDur := make([][]float64, len(incCfgs))
-	for trial := 0; trial < trials; trial++ {
-		for i, c := range incCfgs {
-			eng := incremental.New(g.N, c.opt)
-			t0 := time.Now()
-			for _, b := range batches {
-				eng.AddSpan(b)
-			}
-			incDur[i] = append(incDur[i], ms(time.Since(t0)))
-			incLabels[i] = eng.Snapshot().Labels
-			eng.Close()
-		}
-	}
-	incLegacy := median(incDur[0])
-	for i, c := range incCfgs {
-		med := median(incDur[i])
-		same := check.SamePartition(incLabels[i], uf) == nil
-		t.Add("incremental", c.name, med, med/float64(len(batches)), len(batches), incLegacy/med, same)
-	}
-
-	t.Notes = append(t.Notes,
-		"legacy = the pre-scheduler behavior both engines shipped with: fixed 4096-item claims off one shared cursor, stride-2 column reads on every native sweep",
-		"native rows: one long-lived engine per config solves the same graph; per-round ms = median solve / link+shortcut rounds",
-		fmt.Sprintf("incremental rows: the graph replayed as %d zero-copy span batches on a fresh engine per trial; per-round ms = median total / batches", len(batches)),
-		fmt.Sprintf("workers = GOMAXPROCS; %d scored trials interleaved round-robin across configs, median scored; same partition = vs the sequential union-find", trials),
-		"on a single-core host the affinity and grain columns should be near 1× (one worker claims every range either way) and the packed-arc fusion carries the speedup; multi-core hosts add the locality term")
-	return t
 }

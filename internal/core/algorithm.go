@@ -164,7 +164,7 @@ func Run(m *pram.Machine, g *graph.Graph, p Params) Result {
 	if maxRounds <= 0 {
 		maxRounds = 8*ceilLog2(n) + 96
 	}
-	// As in the native engine: the event envelope is built only when a
+	// As in the other engines: the event envelope is built only when a
 	// sink is attached, decided once per run.
 	emit := obs.Enabled()
 	var roundStart time.Time

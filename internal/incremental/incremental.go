@@ -67,14 +67,6 @@ type Options struct {
 	// Workers is the goroutine count of the batch pool; 0 selects
 	// GOMAXPROCS.
 	Workers int
-	// Grain is the number of edges or vertices a worker claims per
-	// fetch of a range cursor; 0 derives pool.AdaptiveGrain from the
-	// batch size and worker count.
-	Grain int
-	// NoAffinity disables the sticky range-to-worker assignment and
-	// claims from one shared cursor (the pre-scheduler behavior; kept
-	// for the E17 ablation).
-	NoAffinity bool
 }
 
 // Snapshot is a consistent view of the labeling as of a batch
@@ -101,9 +93,6 @@ type Engine struct {
 	pool   *pool.Pool
 	snap   atomic.Pointer[Snapshot]
 
-	grain      int
-	noAffinity bool
-
 	batches int
 	edges   int64
 
@@ -129,7 +118,7 @@ func New(n int, opt Options) *Engine {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	e := &Engine{pool: pool.New(workers), grain: opt.Grain, noAffinity: opt.NoAffinity}
+	e := &Engine{pool: pool.New(workers)}
 	e.spanChunk = e.spanChunkBody
 	e.pubChunk = e.pubChunkBody
 	e.Reset(n)
@@ -211,9 +200,6 @@ func (e *Engine) Grow(n int) {
 
 // Workers returns the resolved worker count of the batch pool.
 func (e *Engine) Workers() int { return e.pool.Workers() }
-
-// Grain returns the configured claim grain (0 = adaptive).
-func (e *Engine) Grain() int { return e.grain }
 
 // N returns the vertex count.
 //
@@ -373,7 +359,7 @@ func (e *Engine) ingestSpan(ctx context.Context, span graph.EdgeSpan) error {
 	}
 	e.spanU, e.spanV = span.U, span.V
 	e.spanCtx = ctx
-	e.pool.ShardedOpt(span.Len(), pool.ShardOptions{Grain: e.grain, NoAffinity: e.noAffinity}, e.spanChunk)
+	e.pool.Sharded(span.Len(), 0, e.spanChunk)
 	e.spanU, e.spanV, e.spanCtx = nil, nil, nil
 	if err := ctx.Err(); err != nil {
 		e.noteIngestErr(err)
@@ -440,7 +426,7 @@ func (e *Engine) spanChunkBody(_, lo, hi int) bool {
 	}
 	u, v := e.spanU, e.spanV
 	for i := lo; i < hi; i++ {
-		e.union(u[2*i], v[2*i])
+		Union(e.parent, u[2*i], v[2*i])
 	}
 	return true
 }
@@ -463,13 +449,13 @@ func (e *Engine) ingest(ctx context.Context, total int, edge func(i int) (int32,
 	if emit {
 		start = time.Now()
 	}
-	e.pool.ShardedOpt(total, pool.ShardOptions{Grain: e.grain, NoAffinity: e.noAffinity}, func(_, lo, hi int) bool {
+	e.pool.Sharded(total, 0, func(_, lo, hi int) bool {
 		if ctx.Err() != nil {
 			return false
 		}
 		for i := lo; i < hi; i++ {
 			u, v := edge(i)
-			e.union(u, v)
+			Union(e.parent, u, v)
 		}
 		return true
 	})
@@ -493,7 +479,7 @@ func (e *Engine) publish(edges int64) *Snapshot {
 	labels := make([]int32, e.n)
 	e.pubLabels = labels
 	e.pubRoots.Store(0)
-	e.pool.ShardedOpt(e.n, pool.ShardOptions{Grain: e.grain, NoAffinity: e.noAffinity}, e.pubChunk)
+	e.pool.Sharded(e.n, 0, e.pubChunk)
 	e.pubLabels = nil
 	s := &Snapshot{
 		Labels:     labels,
@@ -514,7 +500,7 @@ func (e *Engine) pubChunkBody(_, lo, hi int) bool {
 	labels := e.pubLabels
 	local := int64(0)
 	for v := lo; v < hi; v++ {
-		r := e.find(int32(v))
+		r := Find(e.parent, int32(v))
 		labels[v] = r
 		if r == int32(v) {
 			local++
@@ -526,43 +512,47 @@ func (e *Engine) pubChunkBody(_, lo, hi int) bool {
 	return true
 }
 
-// find returns the root of x with path splitting: each visited node is
-// CASed from its parent to its grandparent. A failed CAS means a racing
-// find already improved the pointer; either way progress is monotone
-// because parents strictly decrease along every path.
+// Find returns the root of x in the CAS-only forest parent, with path
+// splitting: each visited node is CASed from its parent to its
+// grandparent. A failed CAS means a racing find already improved the
+// pointer; either way progress is monotone because parents strictly
+// decrease along every path. Safe to call concurrently with Union and
+// other Finds on the same forest; the native engine's one-shot solve
+// runs on these same two primitives.
 //
 //pramcc:zeroalloc
-func (e *Engine) find(x int32) int32 {
+func Find(parent []int32, x int32) int32 {
 	for {
-		p := atomic.LoadInt32(&e.parent[x])
+		p := atomic.LoadInt32(&parent[x])
 		if p == x {
 			return x
 		}
-		gp := atomic.LoadInt32(&e.parent[p])
+		gp := atomic.LoadInt32(&parent[p])
 		if gp == p {
 			return p
 		}
-		atomic.CompareAndSwapInt32(&e.parent[x], p, gp)
+		atomic.CompareAndSwapInt32(&parent[x], p, gp)
 		x = gp
 	}
 }
 
-// union links the roots of u and v by index: the larger root is CASed
-// under the smaller, which preserves parent[x] ≤ x and therefore
-// acyclicity on every interleaving. A lost race means another worker
-// linked one of the roots first; retry from the new roots.
+// Union links the roots of u and v in the forest parent by index: the
+// larger root is CASed under the smaller, which preserves
+// parent[x] ≤ x and therefore acyclicity on every interleaving. A lost
+// race means another worker linked one of the roots first; retry from
+// the new roots. On return u and v share a root.
 //
 //pramcc:zeroalloc
-func (e *Engine) union(u, v int32) {
+func Union(parent []int32, u, v int32) {
 	for {
-		ru, rv := e.find(u), e.find(v)
+		ru, rv := Find(parent, u), Find(parent, v)
 		if ru == rv {
 			return
 		}
 		if ru > rv {
 			ru, rv = rv, ru
 		}
-		if atomic.CompareAndSwapInt32(&e.parent[rv], rv, ru) {
+		if atomic.CompareAndSwapInt32(&parent[rv], rv, ru) {
 			return
 		}
 		u, v = ru, rv

@@ -9,8 +9,11 @@ import (
 	"repro/graph"
 	"repro/internal/baseline"
 	"repro/internal/check"
-	"repro/internal/native"
 )
+
+// Zoo exposes zoo to the external test package, which compares this
+// engine against the native one (native imports this package).
+var Zoo = zoo
 
 // zoo is a compact generator spread: every structural family the
 // engine could plausibly mishandle (deep paths, stars, dense cliques,
@@ -31,38 +34,13 @@ func zoo() map[string]*graph.Graph {
 	}
 }
 
-// TestEngineMatchesNativeLabels: one-batch ingestion must produce the
-// exact labels of the native engine (both canonicalize to component
-// minima), not merely the same partition.
-func TestEngineMatchesNativeLabels(t *testing.T) {
-	for name, g := range zoo() {
-		t.Run(name, func(t *testing.T) {
-			e := New(g.N, Options{})
-			defer e.Close()
-			snap := e.AddGraph(g)
-			nat := native.Components(g, native.Options{})
-			if len(snap.Labels) != len(nat.Labels) {
-				t.Fatalf("label lengths differ: %d vs %d", len(snap.Labels), len(nat.Labels))
-			}
-			for v := range snap.Labels {
-				if snap.Labels[v] != nat.Labels[v] {
-					t.Fatalf("label[%d] = %d, native %d", v, snap.Labels[v], nat.Labels[v])
-				}
-			}
-			if err := check.SamePartition(snap.Labels, baseline.Components(g)); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
 // TestBatchSplitInvariance: the final partition must not depend on how
 // the edge stream is cut into batches, on the batch sizes, or on the
 // (shuffled) edge order within the stream.
 func TestBatchSplitInvariance(t *testing.T) {
 	for name, g := range zoo() {
 		t.Run(name, func(t *testing.T) {
-			want := native.Components(g, native.Options{}).Labels
+			want := baseline.MinComponents(g)
 			rng := rand.New(rand.NewSource(42))
 			edges := g.Edges()
 			for trial := 0; trial < 4; trial++ {
@@ -216,7 +194,7 @@ func TestDegenerateInputs(t *testing.T) {
 // TestWorkerCounts: every worker count gives the same labels.
 func TestWorkerCounts(t *testing.T) {
 	g := graph.Gnm(3000, 9000, 17)
-	want := native.Components(g, native.Options{}).Labels
+	want := baseline.MinComponents(g)
 	for _, w := range []int{1, 2, 3, 7, 16} {
 		e := New(g.N, Options{Workers: w})
 		snap := e.AddGraph(g)

@@ -8,17 +8,16 @@ import (
 	"repro/graph"
 	"repro/internal/baseline"
 	"repro/internal/check"
-	"repro/internal/native"
 )
 
 // TestAddSpanMatchesAddEdges: replaying the same graph through the
 // columnar span path and the boxed pair path must produce the exact
-// same labels — and both must match the one-shot native engine — for
+// same labels — and both must match the minimum-id oracle — for
 // every structural family and across random batch splits.
 func TestAddSpanMatchesAddEdges(t *testing.T) {
 	for name, g := range zoo() {
 		t.Run(name, func(t *testing.T) {
-			want := native.Components(g, native.Options{}).Labels
+			want := baseline.MinComponents(g)
 			rng := rand.New(rand.NewSource(19))
 			for trial := 0; trial < 3; trial++ {
 				k := 1 + rng.Intn(9)
@@ -38,7 +37,7 @@ func TestAddSpanMatchesAddEdges(t *testing.T) {
 				pairLabels := pairEng.Snapshot().Labels
 				for v := range want {
 					if spanLabels[v] != want[v] || pairLabels[v] != want[v] {
-						t.Fatalf("trial %d (k=%d): label[%d] span=%d pairs=%d native=%d",
+						t.Fatalf("trial %d (k=%d): label[%d] span=%d pairs=%d want=%d",
 							trial, k, v, spanLabels[v], pairLabels[v], want[v])
 					}
 				}
@@ -174,7 +173,7 @@ func TestSpanIngestZeroAlloc(t *testing.T) {
 // BenchmarkEngineIngestSpan / BenchmarkEngineIngestPairs: the replay
 // comparison at the engine layer (fresh forest per iteration, batch
 // construction included — the quantity experiment E14 sweeps at full
-// scale and scripts/bench_baseline.sh tracks).
+// scale).
 func BenchmarkEngineIngestSpan(b *testing.B) {
 	g := graph.Gnm(100000, 400000, 42)
 	b.SetBytes(int64(g.NumEdges()))

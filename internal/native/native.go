@@ -3,169 +3,108 @@
 // compare-and-swap on the label array, aimed at wall-clock speed
 // rather than model-cost accounting.
 //
-// The algorithm is the Liu–Tarjan label-propagation framework
-// specialized to its practical core: every round performs a
-// link-to-minimum step over the edges (each endpoint's current root
-// label is lowered towards the smaller of the two via CAS-min) and a
-// shortcutting step over the vertices (pointer jumping repeated to the
-// root, compressing every chain to depth one). Labels only ever
-// decrease, every vertex's label always names a vertex of the same
-// component, and a round with no change is a proof of convergence —
-// flat labels that agree across every edge — so no step barrier,
-// snapshot semantics, or per-step cost accounting is needed. The
-// asynchronous races the simulator's ARBITRARY write-resolution models
-// explicitly are simply allowed to happen here; CAS-min makes every
-// interleaving safe.
+// A solve is one concurrent union-find pass. The label array starts as
+// the identity and is used as a lock-free disjoint-set forest: one
+// sweep over the edges links each edge's two roots by index minimum
+// (incremental.Union — the larger root is CASed under the smaller,
+// retrying from the fresh roots on contention), then one sweep over
+// the vertices stores each vertex's root (incremental.Find, with path
+// splitting) into its own slot. After the edge sweep's barrier every
+// component is one tree rooted at its minimum vertex id, whatever the
+// diameter, so the flatten leaves labels[v] equal to that minimum —
+// the same canonical labeling the incremental engine publishes. The
+// find/link primitives and the three invariants that make every
+// interleaving safe live in internal/incremental; this package only
+// drives them over a whole graph at once. The paper's ARBITRARY-CRCW
+// round structure lives on the simulator backends, not here.
 //
-// Work is sharded over the locality-aware grain-claim scheduler in
-// internal/pool: each worker sweeps a sticky contiguous home range of
-// the edge (and vertex) space first and steals from other ranges only
-// after exhausting it, so the same label cache lines keep landing in
-// the same core across the rounds of a solve. The first link sweep is
-// fused: it links each edge to the root (the incremental engine's
-// union discipline, with path splitting), which connects the whole
-// label forest in one pass regardless of diameter, while packing the
-// two stride-2 arc columns (U[2i], V[2i]) into one contiguous
-// interleaved buffer. The rounds that follow are then cheap
-// verification sweeps over half the bytes, and the convergence test —
-// a full round with no change — is unchanged and still ranges over
-// every edge. Options carries ablation switches for both.
+// Both sweeps are sharded over the locality-aware grain-claim
+// scheduler in internal/pool: each worker sweeps a sticky contiguous
+// home range first and steals from other ranges only after exhausting
+// it. ctx is checked once per claimed chunk.
 //
-// The Engine type is the long-lived form: it owns the worker pool and
-// the packed-arc buffer, so repeated Run calls on same-sized graphs
-// perform zero allocations — the shape pramcc.Solver builds on.
-// Components remains the one-shot convenience wrapper.
+// The Engine type is the long-lived form: it owns the worker pool, so
+// repeated Run calls perform zero allocations — the shape
+// pramcc.Solver builds on. Components remains the one-shot convenience
+// wrapper.
 package native
 
 import (
 	"context"
 	"runtime"
 	"sync/atomic"
-	"time"
 
 	"repro/graph"
+	"repro/internal/incremental"
 	"repro/internal/obs"
 	"repro/internal/pool"
 )
 
-// Engine-level metrics: completed runs and link+shortcut rounds,
-// process-wide. Counted once per run (not per round), so the hot loop
-// pays nothing until convergence.
-var (
-	mRuns = obs.Default.Counter("pramcc_native_runs_total",
-		"completed native-engine Run calls")
-	mRounds = obs.Default.Counter("pramcc_native_rounds_total",
-		"link+shortcut rounds executed by the native engine")
-)
-
-// Options configures an engine run.
-type Options struct {
-	// Workers is the goroutine count; 0 selects GOMAXPROCS.
-	Workers int
-	// Grain is the number of edges or vertices a worker claims per
-	// fetch of a range cursor; 0 derives pool.AdaptiveGrain from the
-	// sweep size and worker count.
-	Grain int
-	// NoAffinity disables the sticky range-to-worker assignment and
-	// claims from one shared cursor (the pre-scheduler behavior).
-	NoAffinity bool
-	// NoPack disables the fused first sweep — root-linking plus arc
-	// packing — and performs one-hop CAS-min over the stride-2 graph
-	// columns on every link sweep (the pre-scheduler behavior). Both
-	// No* switches exist for the E17 ablation.
-	NoPack bool
-}
+// mRuns counts completed runs, process-wide. Counted once per run, so
+// the sweeps pay nothing for it.
+var mRuns = obs.Default.Counter("pramcc_native_runs_total",
+	"completed native-engine Run calls")
 
 // Result is a component labeling with engine statistics. Unlike the
 // simulated backends there are no model costs: only real quantities.
 type Result struct {
-	// Labels assigns every vertex a component representative (the
-	// minimum vertex id of its component, by the CAS-min discipline).
+	// Labels assigns every vertex a component representative: the
+	// minimum vertex id of its component.
 	Labels []int32
-	// Rounds is the number of link+shortcut rounds until convergence.
+	// Rounds is 1 when the graph has an edge (the one union-find
+	// pass), 0 otherwise.
 	Rounds int
 	// Workers is the resolved worker count that executed the run.
 	Workers int
 }
 
-// phase selects the chunk body of the current sweep.
-const (
-	phaseLink       int32 = iota // link from the stride-2 graph columns (NoPack)
-	phaseLinkPack                // link from the graph columns, packing arcs as it goes
-	phaseLinkPacked              // link from the packed interleaved buffer
-	phaseShortcut
-)
-
 // Engine is a reusable shared-memory solver. It owns a worker pool
 // spawned once at construction; Run may be called any number of times
 // (from one goroutine at a time) and allocates nothing itself — the
 // caller provides the label buffer. Close releases the pool.
-//
-// The engine retains its packed-arc buffer across runs (grow-or-reuse,
-// 8 bytes per edge at high-water mark); callers that solve one huge
-// graph and then hold the engine idle should Close and rebuild it.
 type Engine struct {
-	pool       *Pool
-	changed    atomic.Bool
-	grain      int
-	noAffinity bool
-	noPack     bool
+	pool *pool.Pool
 
-	// Per-run state, written by Run between pool barriers only. arcs
-	// holds the even (representative) arcs interleaved [u0 v0 u1 v1 …],
-	// filled by the first link sweep and read by every later one.
+	// Per-run state, written by Run between pool barriers only.
+	ctx    context.Context
 	g      *graph.Graph
 	labels []int32
-	phase  int32
-	arcs   []int32
 
-	// chunk is the sweep body bound once at construction so Run does
-	// not create a closure (and therefore does not allocate) per call.
-	chunk func(worker, lo, hi int) bool
+	// The sweep bodies are bound once at construction so Run does not
+	// create a closure (and therefore does not allocate) per call.
+	unionChunk, flattenChunk func(worker, lo, hi int) bool
 }
 
 // NewEngine spawns an engine with its worker pool; workers ≤ 0 selects
 // GOMAXPROCS.
 func NewEngine(workers int) *Engine {
-	return NewEngineOpt(Options{Workers: workers})
-}
-
-// NewEngineOpt spawns an engine with the full option set.
-func NewEngineOpt(opt Options) *Engine {
-	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	e := &Engine{
-		pool:       NewPool(workers),
-		grain:      opt.Grain,
-		noAffinity: opt.NoAffinity,
-		noPack:     opt.NoPack,
-	}
-	e.chunk = e.chunkBody
+	e := &Engine{pool: pool.New(workers)}
+	e.unionChunk = e.unionChunkBody
+	e.flattenChunk = e.flattenChunkBody
 	return e
 }
 
 // Workers returns the engine's resolved worker count.
 func (e *Engine) Workers() int { return e.pool.Workers() }
 
-// Grain returns the configured claim grain (0 = adaptive).
-func (e *Engine) Grain() int { return e.grain }
-
 // Close releases the worker pool. Idempotent; the engine must be idle.
 func (e *Engine) Close() { e.pool.Close() }
 
 // Run computes the connected components of g into labels, which must
 // have length g.N; on return labels[v] is the minimum vertex id of
-// v's component. It returns the number of link+shortcut rounds run.
+// v's component. It returns the number of rounds run: 1 for the one
+// union-find pass, or 0 when g has no edges or the run was cancelled.
 //
-// ctx is checked at every round boundary: when it is cancelled or past
-// its deadline, Run abandons the computation and returns ctx.Err()
-// within one round. The labels buffer then holds a partial (monotone
-// but unconverged) labeling that the caller must discard.
+// ctx is checked once per claimed chunk of either sweep: when it is
+// cancelled or past its deadline, Run abandons the computation and
+// returns ctx.Err() within one chunk per worker. The labels buffer
+// then holds a partial labeling that the caller must discard.
 //
 // The returned labeling is exact on every interleaving: correctness
-// depends only on the monotone CAS-min discipline, not on scheduling.
+// depends only on the union-find invariants, not on scheduling.
 //
 //pramcc:zeroalloc
 func (e *Engine) Run(ctx context.Context, g *graph.Graph, labels []int32) (int, error) {
@@ -178,279 +117,71 @@ func (e *Engine) Run(ctx context.Context, g *graph.Graph, labels []int32) (int, 
 	for i := range labels {
 		labels[i] = int32(i)
 	}
-	numEdges := g.NumEdges()
-	if g.N == 0 || numEdges == 0 {
+	if g.N == 0 || g.NumEdges() == 0 {
 		return 0, ctx.Err()
 	}
-	e.g, e.labels = g, labels
-	defer func() { e.g, e.labels = nil, nil }()
+	e.ctx, e.g, e.labels = ctx, g, labels
+	defer func() { e.ctx, e.g, e.labels = nil, nil, nil }()
 
-	linkPhase := phaseLink
-	if !e.noPack {
-		linkPhase = phaseLinkPack
-		if cap(e.arcs) < 2*numEdges {
-			//pramcc:allow zeroalloc -- grow-or-reuse contract: allocates only when the edge count outgrows the retained buffer
-			e.arcs = make([]int32, 2*numEdges)
-		}
-		e.arcs = e.arcs[:2*numEdges]
+	e.pool.Sharded(g.NumEdges(), 0, e.unionChunk)
+	if ctx.Err() == nil {
+		e.pool.Sharded(g.N, 0, e.flattenChunk)
 	}
-
-	// Event emission is decided once per run: the envelope (and its
-	// measures map) is built only when an operator attached a sink, so
-	// the default round loop stays allocation-free.
-	emit := obs.Enabled()
-	var roundStart time.Time
-	rounds := 0
-	for {
-		if err := ctx.Err(); err != nil {
-			if emit {
-				obs.Emit(obs.Event{Source: "native", Category: "engine",
-					Name: "run", Status: obs.StatusCancelled,
-					Measures: map[string]float64{"rounds": float64(rounds)}})
-			}
-			return rounds, err
-		}
-		rounds++
-		if emit {
-			roundStart = time.Now()
-		}
-		linked := e.sweep(linkPhase, numEdges)
-		if linkPhase == phaseLinkPack {
-			linkPhase = phaseLinkPacked
-		}
-		cut := e.sweep(phaseShortcut, g.N)
-		if emit {
+	if err := ctx.Err(); err != nil {
+		// The envelope is built only when an operator attached a sink,
+		// so the default path stays allocation-free.
+		if obs.Enabled() {
 			obs.Emit(obs.Event{Source: "native", Category: "engine",
-				Name: "round", Status: obs.StatusOK,
-				DurationMS: float64(time.Since(roundStart).Nanoseconds()) / 1e6,
-				Measures: map[string]float64{
-					"round":   float64(rounds),
-					"changed": b2f(linked || cut),
-				}})
+				Name: "run", Status: obs.StatusCancelled})
 		}
-		// A full round with no successful CAS means the labels are flat
-		// and agree across every edge: were some edge's labels unequal,
-		// the link CAS-min on its larger side would have succeeded
-		// against a flat (self-parented) label. Labels strictly
-		// decrease on every change, so this point is always reached.
-		if !linked && !cut {
-			mRuns.Inc()
-			mRounds.Add(int64(rounds))
-			return rounds, nil
-		}
+		return 0, err
 	}
+	mRuns.Inc()
+	return 1, nil
 }
 
-// b2f encodes a bool as a 0/1 event measure.
-func b2f(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// sweep runs the current phase over [0, total) on the shared
-// locality-aware scheduler and reports whether any worker changed a
-// label.
+// unionChunkBody links the two roots of every even arc in [lo, hi).
+// Arcs come in mirror pairs, so arc 2i covers edge i. The ctx check per
+// chunk is the cancellation contract: returning false stops this
+// worker's claim loop.
 //
 //pramcc:zeroalloc
-func (e *Engine) sweep(phase int32, total int) bool {
-	e.phase = phase
-	e.changed.Store(false)
-	e.pool.ShardedOpt(total, pool.ShardOptions{Grain: e.grain, NoAffinity: e.noAffinity}, e.chunk)
-	return e.changed.Load()
-}
-
-// chunkBody dispatches one claimed chunk to the current phase's sweep
-// body. It always returns true: the native engine cancels at round
-// boundaries, not per chunk.
-//
-//pramcc:zeroalloc
-func (e *Engine) chunkBody(_, lo, hi int) bool {
-	var local bool
-	switch e.phase {
-	case phaseLink:
-		local = e.link(lo, hi)
-	case phaseLinkPack:
-		local = e.linkPack(lo, hi)
-	case phaseLinkPacked:
-		local = e.linkPacked(lo, hi)
-	default:
-		local = e.shortcut(lo, hi)
+func (e *Engine) unionChunkBody(_, lo, hi int) bool {
+	if e.ctx.Err() != nil {
+		return false
 	}
-	if local {
-		e.changed.Store(true)
+	u, v, labels := e.g.U, e.g.V, e.labels
+	for i := lo; i < hi; i++ {
+		incremental.Union(labels, u[2*i], v[2*i])
 	}
 	return true
 }
 
-// link lowers both endpoints of every edge in [lo, hi) towards the
-// smaller of their two current labels, reading the stride-2 graph
-// columns. Arcs come in mirror pairs, so scanning arc 2e covers edge e
-// in both directions (the update is symmetric in u and v).
+// flattenChunkBody stores the root of every vertex in [lo, hi) into
+// its own slot. It runs after the union sweep's barrier, so roots are
+// final: concurrent finds only shorten paths.
 //
 //pramcc:zeroalloc
-func (e *Engine) link(lo, hi int) bool {
-	g, labels := e.g, e.labels
-	local := false
-	for i := lo; i < hi; i++ {
-		u, v := g.U[2*i], g.V[2*i]
-		if u == v {
-			continue
-		}
-		pu := atomic.LoadInt32(&labels[u])
-		pv := atomic.LoadInt32(&labels[v])
-		switch {
-		case pv < pu:
-			local = casMin(labels, pu, pv) || local
-		case pu < pv:
-			local = casMin(labels, pv, pu) || local
-		}
+func (e *Engine) flattenChunkBody(_, lo, hi int) bool {
+	if e.ctx.Err() != nil {
+		return false
 	}
-	return local
-}
-
-// linkPack is the fused first sweep: it packs the even arcs into the
-// interleaved buffer while linking each edge all the way — the larger
-// root is CAS-linked under the smaller, retrying from the fresh roots
-// on contention, so both endpoints share a root when the call moves
-// on (the incremental engine's union discipline). One such sweep
-// connects the whole label forest regardless of diameter, so the
-// rounds that follow are cheap all-labels-equal verification sweeps
-// instead of further rounds of propagation. The packing traffic rides
-// on a sweep that had to read the graph columns anyway.
-//
-//pramcc:zeroalloc
-func (e *Engine) linkPack(lo, hi int) bool {
-	g, labels, arcs := e.g, e.labels, e.arcs
-	local := false
-	for i := lo; i < hi; i++ {
-		u, v := g.U[2*i], g.V[2*i]
-		arcs[2*i], arcs[2*i+1] = u, v
-		if u == v {
-			continue
-		}
-		local = rootLink(labels, u, v) || local
-	}
-	return local
-}
-
-// rootLink links the roots of u and v by index minimum, retrying on a
-// lost race, and reports whether it wrote. Writes target current
-// roots only and labels strictly decrease, so parent[x] ≤ x and
-// acyclicity hold on every interleaving — the same argument as the
-// incremental engine's union.
-//
-//pramcc:zeroalloc
-func rootLink(labels []int32, u, v int32) bool {
-	wrote := false
-	for {
-		ru, rv := findRoot(labels, u), findRoot(labels, v)
-		if ru == rv {
-			return wrote
-		}
-		if ru > rv {
-			ru, rv = rv, ru
-		}
-		if atomic.CompareAndSwapInt32(&labels[rv], rv, ru) {
-			return true
-		}
-		u, v = ru, rv
-	}
-}
-
-// findRoot returns the root of x with path splitting: each visited
-// vertex is CASed from its parent to its grandparent. A failed CAS
-// means a racing find already improved the pointer; progress stays
-// monotone because labels strictly decrease along every path.
-//
-//pramcc:zeroalloc
-func findRoot(labels []int32, x int32) int32 {
-	for {
-		p := atomic.LoadInt32(&labels[x])
-		if p == x {
-			return x
-		}
-		gp := atomic.LoadInt32(&labels[p])
-		if gp == p {
-			return p
-		}
-		atomic.CompareAndSwapInt32(&labels[x], p, gp)
-		x = gp
-	}
-}
-
-// linkPacked is link reading the interleaved packed buffer: half the
-// memory traffic of the stride-2 column walk, which is the whole cost
-// of a link sweep once the labels are cache-resident.
-//
-//pramcc:zeroalloc
-func (e *Engine) linkPacked(lo, hi int) bool {
-	labels, arcs := e.labels, e.arcs
-	local := false
-	for i := lo; i < hi; i++ {
-		u, v := arcs[2*i], arcs[2*i+1]
-		if u == v {
-			continue
-		}
-		pu := atomic.LoadInt32(&labels[u])
-		pv := atomic.LoadInt32(&labels[v])
-		switch {
-		case pv < pu:
-			local = casMin(labels, pu, pv) || local
-		case pu < pv:
-			local = casMin(labels, pv, pu) || local
-		}
-	}
-	return local
-}
-
-// shortcut pointer-jumps every vertex in [lo, hi) to its root.
-//
-//pramcc:zeroalloc
-func (e *Engine) shortcut(lo, hi int) bool {
 	labels := e.labels
-	local := false
 	for v := lo; v < hi; v++ {
-		root := atomic.LoadInt32(&labels[v])
-		for {
-			parent := atomic.LoadInt32(&labels[root])
-			if parent == root {
-				break
-			}
-			root = parent
-		}
-		local = casMin(labels, int32(v), root) || local
+		atomic.StoreInt32(&labels[v], incremental.Find(labels, int32(v)))
 	}
-	return local
+	return true
 }
 
 // Components computes the connected components of g one-shot: a fresh
-// engine (and worker pool) is built and torn down around a single Run.
-// Long-lived callers should hold an Engine (or a pramcc.Solver) to
-// amortize that construction.
-func Components(g *graph.Graph, opt Options) *Result {
-	e := NewEngineOpt(opt)
+// engine (and worker pool) of the given worker count (≤ 0 selects
+// GOMAXPROCS) is built and torn down around a single Run. Long-lived
+// callers should hold an Engine (or a pramcc.Solver) to amortize that
+// construction.
+func Components(g *graph.Graph, workers int) *Result {
+	e := NewEngine(workers)
 	defer e.Close()
 	labels := make([]int32, g.N)
 	rounds, _ := e.Run(context.Background(), g, labels)
 	return &Result{Labels: labels, Rounds: rounds, Workers: e.Workers()}
-}
-
-// casMin lowers labels[at] to val if val is smaller, retrying on
-// contention. It reports whether it wrote. Labels only ever decrease,
-// so the invariant "labels[x] names a vertex of x's component" is
-// preserved by every interleaving of casMin calls.
-//
-//pramcc:zeroalloc
-func casMin(labels []int32, at, val int32) bool {
-	for {
-		cur := atomic.LoadInt32(&labels[at])
-		if val >= cur {
-			return false
-		}
-		if atomic.CompareAndSwapInt32(&labels[at], cur, val) {
-			return true
-		}
-	}
 }

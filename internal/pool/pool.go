@@ -35,8 +35,8 @@ type Pool struct {
 	wg        sync.WaitGroup
 	closeOnce sync.Once
 
-	// shard is the pool-owned claim state behind Sharded/ShardedOpt,
-	// with shardWork pre-bound once here so dispatching a sharded
+	// shard is the pool-owned claim state behind Sharded, with
+	// shardWork pre-bound once here so dispatching a sharded
 	// sweep allocates nothing.
 	shard     Shard
 	shardWork func(worker int)

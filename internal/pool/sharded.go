@@ -14,13 +14,13 @@
 //
 //   - Sticky range-to-worker affinity. Each worker owns a
 //     deterministic contiguous home range of the index space
-//     [r*total/n, (r+1)*total/n) and sweeps it first every round, so
-//     across the many rounds a solve performs, the same label/parent/
-//     span cache lines keep landing in the same core's cache. Only
-//     after its home range is exhausted does a worker steal — from the
-//     most loaded remaining range, the one with the most unclaimed
-//     items — so skew still cannot strand work, and the thieves pile
-//     onto the range that actually needs the help.
+//     [r*total/n, (r+1)*total/n) and drains it first on every sweep,
+//     so across the sweeps of a solve or a stream of batches the same
+//     label/parent/span cache lines keep landing in the same core's
+//     cache. Only after its home range is exhausted does a worker
+//     steal — from the most loaded remaining range, the one with the
+//     most unclaimed items — so skew still cannot strand work, and the
+//     thieves pile onto the range that actually needs the help.
 //
 // A Shard is plain value state (no goroutines, no channels): Init it,
 // then have each participating worker call Work. Pool.Sharded wires
@@ -50,16 +50,10 @@ const (
 	chunksPerRange = 8
 )
 
-// Sharded-run metrics: how often exhausted workers cross into another
-// worker's home range (high steal rates mean skew or a grain set too
-// coarse), and the grain of the most recent run (0 before any run;
-// watch it when tuning -grain).
-var (
-	mSteals = obs.Default.Counter("pramcc_pool_steals_total",
-		"chunks claimed from another worker's home range after the claimer's own range was exhausted")
-	mGrain = obs.Default.Gauge("pramcc_pool_grain",
-		"items per cursor claim (grain) of the most recent sharded run")
-)
+// mSteals counts how often exhausted workers cross into another
+// worker's home range; a high steal rate means skewed per-item cost.
+var mSteals = obs.Default.Counter("pramcc_pool_steals_total",
+	"chunks claimed from another worker's home range after the claimer's own range was exhausted")
 
 // AdaptiveGrain derives the claim size for a sweep of total items over
 // the given worker count: total/(workers*chunksPerRange), clamped to
@@ -89,18 +83,6 @@ type padCursor struct {
 	_ [56]byte
 }
 
-// ShardOptions tunes one sharded run.
-type ShardOptions struct {
-	// Grain is the number of items a worker claims per fetch of a
-	// range cursor; 0 derives AdaptiveGrain(total, workers).
-	Grain int
-	// NoAffinity collapses the per-worker home ranges into one shared
-	// cursor (the pre-scheduler behavior). Used by the E17 ablation
-	// and by callers whose per-item cost is too uneven for sticky
-	// ranges to help.
-	NoAffinity bool
-}
-
 // Shard is the claim state for one parallel sweep of [0, total):
 // per-range cache-line-padded cursors plus the job to run on each
 // claimed chunk. The zero value is ready for Init; the cursor slice is
@@ -119,39 +101,30 @@ type Shard struct {
 }
 
 // Init arms the shard for one sweep of [0, total) by the given worker
-// count. grain <= 0 selects AdaptiveGrain. With affinity, worker w's
-// home range is [w*total/workers, (w+1)*total/workers); without, a
-// single shared cursor spans the whole interval. job is called on
+// count. grain <= 0 selects AdaptiveGrain. Worker w's home range is
+// [w*total/workers, (w+1)*total/workers). job is called on
 // contiguous chunks [lo, hi); returning false stops that worker's
 // claim loop (the per-chunk ctx-cancellation contract — other workers
 // observe the same condition through their own job calls).
 //
 //pramcc:zeroalloc
-func (s *Shard) Init(total, grain, workers int, affinity bool, job func(worker, lo, hi int) bool) {
+func (s *Shard) Init(total, grain, workers int, job func(worker, lo, hi int) bool) {
 	if workers < 1 {
 		workers = 1
 	}
 	if grain <= 0 {
 		grain = AdaptiveGrain(total, workers)
 	}
-	n := 1
-	if affinity {
-		n = workers
-	}
-	s.total, s.grain, s.ranges, s.job = total, grain, n, job
-	if cap(s.cursors) < n {
+	s.total, s.grain, s.ranges, s.job = total, grain, workers, job
+	if cap(s.cursors) < workers {
 		//pramcc:allow zeroalloc -- grow-or-reuse contract: allocates only when the worker count grows, never per sweep
-		s.cursors = make([]padCursor, n)
+		s.cursors = make([]padCursor, workers)
 	}
-	s.cursors = s.cursors[:n]
-	for r := 0; r < n; r++ {
+	s.cursors = s.cursors[:workers]
+	for r := 0; r < workers; r++ {
 		s.cursors[r].c.Store(int64(s.rangeLo(r)))
 	}
-	mGrain.Set(int64(grain))
 }
-
-// Grain returns the grain Init settled on (after adaptive derivation).
-func (s *Shard) Grain() int { return s.grain }
 
 // rangeLo is the first index of range r; ranges partition [0, total)
 // into s.ranges near-equal contiguous pieces.
@@ -228,25 +201,9 @@ func (s *Shard) claimRange(worker, r int, stolen bool) bool {
 	}
 }
 
-// Sharded runs job over [0, total) on p's workers at adaptive grain
-// with range affinity — the common case; ShardedOpt takes the tuning
-// knobs.
-//
-//pramcc:zeroalloc
-func Sharded(p *Pool, total int, job func(worker, lo, hi int) bool) {
-	p.ShardedOpt(total, ShardOptions{}, job)
-}
-
-// Sharded is the method spelling of the package-level Sharded with an
-// explicit grain (0 = adaptive).
-//
-//pramcc:zeroalloc
-func (p *Pool) Sharded(total, grain int, job func(worker, lo, hi int) bool) {
-	p.ShardedOpt(total, ShardOptions{Grain: grain}, job)
-}
-
-// ShardedOpt runs job over contiguous chunks of [0, total) on p's
-// workers: each worker sweeps its sticky home range first, then steals.
+// Sharded runs job over contiguous chunks of [0, total) on p's
+// workers: each worker sweeps its sticky home range first, then
+// steals. grain <= 0 selects AdaptiveGrain; the parallel loader pins 1.
 // job returning false stops that worker's claiming (per-chunk
 // cancellation). Tiny sweeps (one grain or fewer, or a one-worker
 // pool) run inline on the caller, skipping the broadcast barrier.
@@ -255,12 +212,12 @@ func (p *Pool) Sharded(total, grain int, job func(worker, lo, hi int) bool) {
 // coordinate rounds themselves.
 //
 //pramcc:zeroalloc
-func (p *Pool) ShardedOpt(total int, o ShardOptions, job func(worker, lo, hi int) bool) {
+func (p *Pool) Sharded(total, grain int, job func(worker, lo, hi int) bool) {
 	if total <= 0 {
 		return
 	}
 	w := len(p.jobs)
-	p.shard.Init(total, o.Grain, w, !o.NoAffinity, job)
+	p.shard.Init(total, grain, w, job)
 	if w == 1 || total <= p.shard.grain {
 		mRuns.Inc()
 		p.shard.Work(0)

@@ -114,7 +114,7 @@ func (m *Machine) runSharded(total int, f func(i int)) {
 	if !owned {
 		sh = &nested
 	}
-	sh.Init(total, 0, workers, true, func(_, lo, hi int) bool {
+	sh.Init(total, 0, workers, func(_, lo, hi int) bool {
 		for i := lo; i < hi; i++ {
 			f(i)
 		}

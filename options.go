@@ -16,10 +16,11 @@ const (
 	// paper's bounds are checked on; wall-clock speed is not a goal.
 	BackendSimulated Backend = iota
 	// BackendNative runs on the shared-memory engine
-	// (internal/native): goroutines with atomic CAS-min on the label
-	// array, no step barriers and no per-step accounting. Same
-	// partition, real wall-clock speed; all model-cost Stats fields
-	// are zero.
+	// (internal/native): goroutines running one concurrent union-find
+	// pass over the label array, no step barriers and no per-step
+	// accounting. Same partition, labeled by component minimum, real
+	// wall-clock speed; Stats.Rounds is 1 and all model-cost Stats
+	// fields are zero.
 	BackendNative
 	// BackendIncremental runs on the streaming union-find engine
 	// (internal/incremental): a lock-free CAS-linked disjoint-set
@@ -92,7 +93,6 @@ type Option func(*config)
 type config struct {
 	seed         uint64
 	workers      int
-	grain        int
 	backend      Backend
 	backendSet   bool
 	maxRounds    int
@@ -146,16 +146,6 @@ func WithSeed(seed uint64) Option { return func(c *config) { c.seed = seed } }
 // default) selects GOMAXPROCS; 1 gives a deterministic sequential
 // schedule on the simulator.
 func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
-
-// WithGrain fixes the scheduler claim grain — the number of items a
-// worker claims per atomic fetch-and-add — for the sharded engines
-// (BackendNative, BackendIncremental). 0 (the default) selects
-// adaptive sizing, total/(workers·8) clamped to [64, 4096], which is
-// right for almost every workload; a fixed grain exists for the E17
-// grain-sweep experiments and for reproducing legacy behaviour
-// (grain 4096). The simulator backend schedules through the same
-// shard machinery but always sizes adaptively.
-func WithGrain(n int) Option { return func(c *config) { c.grain = n } }
 
 // WithMaxRounds caps the main loop of ConnectedComponents (EXPAND-
 // MAXLINK rounds). Exhausting the cap is reported via Stats.Failed;

@@ -24,8 +24,7 @@ type Stats struct {
 	Backend Backend       // engine that produced the result
 	Wall    time.Duration // wall clock of the run itself — result assembly (label counting) is excluded
 	Workers int           // host goroutine count that executed the run
-	Rounds  int           // main-loop rounds: EXPAND-MAXLINK rounds or phases (simulated), link+shortcut rounds (native)
-	Grain   int           // configured scheduler claim grain (WithGrain); 0 means adaptive sizing
+	Rounds  int           // main-loop rounds: EXPAND-MAXLINK rounds or phases (simulated); 1 for native's one union-find pass (0 on an edgeless graph); batches (incremental)
 
 	// ---- model-only quantities (BackendSimulated; zero on native) ----
 

@@ -66,8 +66,8 @@ type streamEngine interface {
 
 // backendInfo is one registry entry: the Backend value, its canonical
 // flag/JSON name, accepted aliases, and the factory building its
-// engine from the construction-time knobs of a config (workers,
-// grain); per-call parameters travel with each solve instead.
+// engine from the construction-time knob of a config (workers);
+// per-call parameters travel with each solve instead.
 type backendInfo struct {
 	backend   Backend
 	name      string
@@ -92,7 +92,7 @@ var registry = []backendInfo{
 		backend: BackendNative,
 		name:    "native",
 		newEngine: func(c *config) engine {
-			return &nativeEngine{eng: native.NewEngineOpt(native.Options{Workers: c.workers, Grain: c.grain})}
+			return &nativeEngine{eng: native.NewEngine(c.workers)}
 		},
 	},
 	{
@@ -100,7 +100,7 @@ var registry = []backendInfo{
 		name:    "incremental",
 		aliases: []string{"inc"},
 		newEngine: func(c *config) engine {
-			return &incrementalEngine{eng: incremental.New(0, incremental.Options{Workers: c.workers, Grain: c.grain})}
+			return &incrementalEngine{eng: incremental.New(0, incremental.Options{Workers: c.workers})}
 		},
 	},
 }
@@ -193,10 +193,10 @@ func (e *simulatedEngine) solve(ctx context.Context, g *graph.Graph, c *config, 
 
 func (e *simulatedEngine) close() {}
 
-// ---- native: the shared-memory CAS-min engine ----
+// ---- native: the shared-memory one-pass union-find engine ----
 
 // nativeEngine wraps a long-lived native.Engine: the worker pool and
-// the engine's pre-bound worker closure live across solves, and the
+// the engine's pre-bound sweep closures live across solves, and the
 // labels are computed directly into out.labels, so repeated solves on
 // same-sized graphs allocate nothing.
 type nativeEngine struct {
@@ -217,7 +217,6 @@ func (e *nativeEngine) solve(ctx context.Context, g *graph.Graph, c *config, out
 		Backend: BackendNative,
 		Workers: e.eng.Workers(),
 		Rounds:  rounds,
-		Grain:   e.eng.Grain(),
 	}
 	return nil
 }
@@ -249,7 +248,6 @@ func (e *incrementalEngine) solve(ctx context.Context, g *graph.Graph, c *config
 		Backend: BackendIncremental,
 		Workers: e.eng.Workers(),
 		Rounds:  snap.Batches, // one batch for a one-shot run
-		Grain:   e.eng.Grain(),
 	}
 	return nil
 }
@@ -275,7 +273,6 @@ func (e *incrementalEngine) ingest(ctx context.Context, span graph.EdgeSpan, out
 		Backend: BackendIncremental,
 		Workers: e.eng.Workers(),
 		Rounds:  snap.Batches,
-		Grain:   e.eng.Grain(),
 	}
 	return snap.Components, nil
 }

@@ -9,8 +9,8 @@
 # FAILS on any statistically significant median slowdown beyond the
 # threshold, or — via -strict — on any matrix configuration missing
 # from the baseline.
-# This is the CI tooth; scripts/bench_baseline.sh remains the
-# informational benchstat-style trend view over the wider suite.
+# This is the CI tooth; perfbench/ (bash perfbench/run.sh) is the
+# end-to-end and per-layer trajectory.
 #
 #   scripts/bench_gate.sh            # run + gate against the baseline
 #   scripts/bench_gate.sh update     # run + overwrite the baseline

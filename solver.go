@@ -25,8 +25,9 @@ var ErrSolverClosed = errors.New("pramcc: solver is closed")
 //
 // The configuration (backend, workers, seed, algorithm parameters) is
 // fixed at NewSolver time. Solve honours its context at every round
-// (native, simulated) or batch (incremental) boundary: a cancelled or
-// expired context makes Solve return ctx.Err() promptly, with no
+// (simulated) or claimed chunk of a sweep (native, incremental): a
+// cancelled or expired context makes Solve return ctx.Err() promptly,
+// with no
 // partial result; an already-cancelled context fails fast before any
 // work.
 //
@@ -239,7 +240,6 @@ func (s *Solver) Close() {
 type engineKey struct {
 	backend Backend
 	workers int
-	grain   int
 }
 
 var (
@@ -271,7 +271,7 @@ func sharedSolve(ctx context.Context, g *graph.Graph, c config) (*Result, error)
 	if err := validate(g); err != nil {
 		return nil, err
 	}
-	key := engineKey{backend: c.backend, workers: c.workers, grain: c.grain}
+	key := engineKey{backend: c.backend, workers: c.workers}
 	sharedMu.Lock()
 	s, ok := sharedSolvers[key]
 	if !ok {
