@@ -236,11 +236,13 @@ func TestBackendTextMarshal(t *testing.T) {
 
 // TestBackendEquivalenceWorkersSweep: the partition must not depend on
 // the worker count, the one scheduler knob left. At 1, 2, 7 and 16
-// workers both engines solve one-shot through the public API, and the
+// workers every backend solves one-shot through the public API, and the
 // incremental engine also replays the graph as three span batches;
 // every result must induce the sequential union-find partition, and
-// Stats must echo the worker count that ran. Under -race this doubles
-// as the scheduler stress test.
+// Stats must echo the worker count that ran: the pool size on the
+// native and incremental engines, 1 on the simulator (Components and
+// SpanningForest alike), which ignores WithWorkers. Under -race this
+// doubles as the scheduler stress test.
 func TestBackendEquivalenceWorkersSweep(t *testing.T) {
 	names := []string{"path", "binary-tree", "gnm", "clique-beads", "isolated"}
 	zoo := generatorZoo()
@@ -249,17 +251,28 @@ func TestBackendEquivalenceWorkersSweep(t *testing.T) {
 		oracle := baseline.Components(g)
 		for _, w := range []int{1, 2, 7, 16} {
 			t.Run(fmt.Sprintf("%s/workers=%d", name, w), func(t *testing.T) {
-				for _, bk := range []Backend{BackendNative, BackendIncremental} {
+				for _, bk := range Backends() {
 					res, err := Components(g, WithBackend(bk), WithWorkers(w))
 					if err != nil {
 						t.Fatal(err)
 					}
-					if res.Stats.Workers != w {
-						t.Fatalf("%v Stats.Workers = %d, want %d", bk, res.Stats.Workers, w)
+					want := w
+					if bk == BackendSimulated {
+						want = 1
+					}
+					if res.Stats.Workers != want {
+						t.Fatalf("%v Stats.Workers = %d, want %d", bk, res.Stats.Workers, want)
 					}
 					if err := check.SamePartition(res.Labels, oracle); err != nil {
 						t.Fatalf("%v vs union-find: %v", bk, err)
 					}
+				}
+				fr, err := SpanningForest(g, WithWorkers(w))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fr.Stats.Workers != 1 {
+					t.Fatalf("SpanningForest Stats.Workers = %d, want 1", fr.Stats.Workers)
 				}
 				eng := incremental.New(g.N, incremental.Options{Workers: w})
 				defer eng.Close()

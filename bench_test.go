@@ -311,22 +311,3 @@ func BenchmarkCoreHighDiameter(b *testing.B) {
 	}
 	b.ReportMetric(float64(rounds), "rounds")
 }
-
-// BenchmarkWorkersScaling reports wall-clock effect of the host worker
-// pool (the PRAM cost model is unaffected).
-func BenchmarkWorkersScaling(b *testing.B) {
-	g := graph.Gnm(200000, 800000, 7)
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(workersName(w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := pramcc.ConnectedComponents(g, pramcc.WithSeed(3), pramcc.WithWorkers(w)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func workersName(w int) string {
-	return "workers-" + string(rune('0'+w))
-}

@@ -69,29 +69,34 @@ func TestRunFromFile(t *testing.T) {
 	}
 }
 
-// TestRunWorkersThreadedThroughOneShot: -workers used to be consulted
-// only by -batches; the one-shot -algo path must honor it too, visible
-// as workers=N in the summary line (Stats.Workers is the pool size the
-// run actually used).
+// TestRunWorkersThreadedThroughOneShot: -workers sizes the native
+// engine's pool on a one-shot run, visible as workers=N in the summary
+// line (Stats.Workers is the pool size the run actually used). The
+// simulated algorithms run on one goroutine and report workers=1
+// whatever -workers says.
 func TestRunWorkersThreadedThroughOneShot(t *testing.T) {
 	g := graph.DisjointUnion(graph.Path(10), graph.Clique(5))
 	in := edgeListString(t, g)
-	for _, algo := range []string{"fast", "loglog", "vanilla"} {
-		var out bytes.Buffer
-		if err := run([]string{"-algo", algo, "-workers", "3"}, strings.NewReader(in), &out); err != nil {
-			t.Fatalf("%s: %v", algo, err)
-		}
-		if !strings.Contains(out.String(), "workers=3") {
-			t.Fatalf("%s: -workers 3 not honored by one-shot run: %s", algo, out.String())
-		}
-	}
-	// -forest shares the option set.
 	var out bytes.Buffer
-	if err := run([]string{"-forest", "-workers", "2"}, strings.NewReader(in), &out); err != nil {
+	if err := run([]string{"-backend", "native", "-workers", "3"}, strings.NewReader(in), &out); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "workers=2") {
-		t.Fatalf("-forest run ignored -workers: %s", out.String())
+	if !strings.Contains(out.String(), "workers=3") {
+		t.Fatalf("-workers 3 not honored by native one-shot run: %s", out.String())
+	}
+	for _, args := range [][]string{
+		{"-algo", "fast", "-workers", "3"},
+		{"-algo", "loglog", "-workers", "3"},
+		{"-algo", "vanilla", "-workers", "3"},
+		{"-forest", "-workers", "2"},
+	} {
+		out.Reset()
+		if err := run(args, strings.NewReader(in), &out); err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		if !strings.Contains(out.String(), "workers=1\n") {
+			t.Fatalf("%v: simulated run must report workers=1: %s", args, out.String())
+		}
 	}
 }
 

@@ -144,16 +144,6 @@ func TestBaselinesAgreeWithEachOther(t *testing.T) {
 	}
 }
 
-func TestBaselinesParallelWorkers(t *testing.T) {
-	g := graph.Gnm(5000, 20000, 13)
-	for _, w := range []int{2, 8} {
-		res := ShiloachVishkin(pram.New(w), g)
-		if err := check.Components(g, res.Labels); err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-	}
-}
-
 func TestLabelsAreComponentMinima(t *testing.T) {
 	// SV/AS/LT/LP all converge to the minimum vertex id per component.
 	g := graph.DisjointUnion(graph.Clique(5), graph.Path(6))

@@ -84,16 +84,6 @@ func TestLiuTarjanDeterministic(t *testing.T) {
 	}
 }
 
-func TestLiuTarjanParallelWorkers(t *testing.T) {
-	g := graph.Gnm(5000, 20000, 7)
-	for _, v := range []LTVariant{LTVariants()[1], LTVariants()[7]} {
-		res := LiuTarjan(pram.New(8), g, v)
-		if err := check.Components(g, res.Labels); err != nil {
-			t.Fatalf("%s: %v", v.Name, err)
-		}
-	}
-}
-
 func TestLiuTarjanAcyclicAlways(t *testing.T) {
 	// Run a few rounds manually via the fixed point and check the final
 	// parents have no nontrivial cycles (strictly-decreasing pointers).

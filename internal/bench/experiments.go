@@ -584,7 +584,7 @@ func E11(scale Scale) *Table {
 	}
 	t.Notes = append(t.Notes,
 		"columns enumerate the pramcc backend registry (simulated = Theorem-3 EXPAND-MAXLINK on the step-barrier PRAM simulator; native = one-pass concurrent union-find; incremental = streaming union-find fed one batch)",
-		"unionfind = sequential single-core anchor; workers = GOMAXPROCS; wall clock is host-dependent, track trends not absolutes")
+		"unionfind = sequential single-core anchor; native and incremental run GOMAXPROCS workers, the simulator one; wall clock is host-dependent, track trends not absolutes")
 	return t
 }
 

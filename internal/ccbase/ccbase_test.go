@@ -124,16 +124,6 @@ func TestPrepareOnlyOnSparse(t *testing.T) {
 	}
 }
 
-func TestParallelWorkers(t *testing.T) {
-	g := graph.Gnm(20000, 80000, 6)
-	for _, w := range []int{2, 8} {
-		res := Run(pram.New(w), g, DefaultParams(2))
-		if err := check.Components(g, res.Labels); err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-	}
-}
-
 func TestEdgeCases(t *testing.T) {
 	cases := map[string]*graph.Graph{
 		"empty":     graph.New(4),

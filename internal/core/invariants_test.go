@@ -176,18 +176,6 @@ func TestDeterministicWithSeedSequential(t *testing.T) {
 	}
 }
 
-func TestParallelWorkersCorrect(t *testing.T) {
-	// Concurrency changes arbitrary-write resolutions but never
-	// correctness.
-	g := graph.Gnm(20000, 100000, 9)
-	for _, workers := range []int{2, 4, 8} {
-		res := Run(pram.New(workers), g, DefaultParams(3))
-		if err := check.Components(g, res.Labels); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-	}
-}
-
 func TestLevelsNeverDecreaseAcrossTrace(t *testing.T) {
 	g := graph.Gnm(4000, 32000, 10)
 	res := Run(pram.New(1), g, DefaultParams(5))

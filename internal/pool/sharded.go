@@ -24,8 +24,7 @@
 //
 // A Shard is plain value state (no goroutines, no channels): Init it,
 // then have each participating worker call Work. Pool.Sharded wires
-// this to the pool's broadcast barrier; the PRAM simulator drives a
-// stack-local Shard from its own per-step goroutines.
+// this to the pool's broadcast barrier.
 package pool
 
 import (

@@ -8,22 +8,12 @@ import (
 // Micro-benchmarks for the simulator primitives; these put numbers on
 // the "simulation overhead" column of the engineering discussion.
 
-func BenchmarkStepSequential(b *testing.B) {
+func BenchmarkStep(b *testing.B) {
 	m := New(1)
 	var sink int64
 	for i := 0; i < b.N; i++ {
 		m.Step(1024, func(p int) {
 			atomic.AddInt64(&sink, int64(p))
-		})
-	}
-}
-
-func BenchmarkStepParallel(b *testing.B) {
-	m := New(0)
-	var sink int64
-	for i := 0; i < b.N; i++ {
-		m.Step(1<<16, func(p int) {
-			atomic.AddInt64(&sink, 1)
 		})
 	}
 }

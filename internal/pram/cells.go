@@ -2,12 +2,13 @@ package pram
 
 import "sync/atomic"
 
-// Atomic helpers giving common-memory cells ARBITRARY CRCW semantics.
-// Within one Machine.Step, processors writing the same cell race; the
-// host scheduler's last writer wins, which is one legal arbitrary
-// resolution. Reads of cells that may be written in the same step must
-// use Load32/Load64 so the race is well-defined under the Go memory
-// model. Cells only read in a step may be accessed directly.
+// Helpers for common-memory cells with ARBITRARY CRCW semantics. A
+// Machine runs the processors of a step in index order, so when several
+// write the same cell in one step the last writer in index order wins,
+// which is one legal arbitrary resolution, and a processor can read
+// writes made earlier in the same step. Cells that may be written in a
+// step are accessed through these helpers; cells only read in a step
+// may be accessed directly.
 
 // Store32 performs a concurrent write of v into cell (arbitrary wins).
 func Store32(cell *int32, v int32) { atomic.StoreInt32(cell, v) }

@@ -7,18 +7,27 @@ import (
 )
 
 func TestStepRunsEveryProcessorOnce(t *testing.T) {
-	for _, workers := range []int{1, 2, 8} {
-		m := New(workers)
-		const procs = 5000
-		hits := make([]int32, procs)
-		m.Step(procs, func(i int) {
-			atomic.AddInt32(&hits[i], 1)
-		})
-		for i, h := range hits {
-			if h != 1 {
-				t.Fatalf("workers=%d: processor %d ran %d times", workers, i, h)
-			}
+	m := New(0)
+	const procs = 5000
+	order := make([]int, 0, procs)
+	m.Step(procs, func(i int) { order = append(order, i) })
+	if len(order) != procs {
+		t.Fatalf("%d processors ran, want %d", len(order), procs)
+	}
+	for k, i := range order {
+		if i != k {
+			t.Fatalf("invocation %d ran processor %d: processors must run once each, in index order", k, i)
 		}
+	}
+	order = order[:0]
+	m.StepN(1, procs, func(i int) { order = append(order, i) })
+	for k, i := range order {
+		if i != k {
+			t.Fatalf("StepN invocation %d ran iteration %d, want index order", k, i)
+		}
+	}
+	if len(order) != procs {
+		t.Fatalf("StepN ran %d iterations, want %d", len(order), procs)
 	}
 }
 

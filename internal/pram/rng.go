@@ -1,10 +1,10 @@
 package pram
 
 // Schedule-independent randomness. A PRAM algorithm's random choices
-// must not depend on the host scheduler, so per-processor coins are
-// derived by hashing (seed, round, index) with SplitMix64. Two runs
-// with the same seed make identical random choices regardless of the
-// worker count; only ARBITRARY write resolutions may differ.
+// must not depend on the order processors run in, so per-processor
+// coins are derived by hashing (seed, round, index) with SplitMix64.
+// Two runs with the same seed make identical random choices, and since
+// a Machine's schedule is fixed, the same concurrent writes win too.
 
 // SplitMix64 is the standard splitmix64 finalizer.
 func SplitMix64(x uint64) uint64 {

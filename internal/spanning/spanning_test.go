@@ -83,14 +83,6 @@ func TestCombiningMode(t *testing.T) {
 	verify(t, g, Run(pram.New(1), g, p))
 }
 
-func TestParallelWorkersForest(t *testing.T) {
-	g := graph.Gnm(10000, 40000, 6)
-	for _, w := range []int{2, 8} {
-		res := Run(pram.New(w), g, DefaultParams(4))
-		verify(t, g, res)
-	}
-}
-
 func TestManySeedsForestValid(t *testing.T) {
 	g := graph.DisjointUnion(
 		graph.Gnm(1500, 6000, 7),

@@ -59,8 +59,6 @@ var (
 		"Service.IngestSpan calls that failed (validation, cancellation, wrong backend)")
 	mIngestDur = obs.Default.Histogram("pramcc_ingest_duration_seconds",
 		"latency of successful Service.IngestSpan calls", nil)
-	mIngestRate = obs.Default.Gauge("pramcc_ingest_edges_per_second",
-		"edge throughput of the most recent successful Service.IngestSpan call")
 	mUpdates = obs.Default.Counter("pramcc_updates_total",
 		"successful Service.Update recomputes")
 	mUpdateErrors = obs.Default.Counter("pramcc_update_errors_total",

@@ -136,15 +136,16 @@ func WithCheckpointEvery(n int) Option { return func(c *config) { c.checkpointEv
 // the vertex set — and by every non-durable entry point.
 func WithInitialVertices(n int) Option { return func(c *config) { c.initialVertices = n } }
 
-// WithSeed sets the random seed. Runs with the same seed make the same
-// random choices regardless of the worker count; only arbitrary-write
-// resolutions may differ.
+// WithSeed sets the random seed. The simulator runs on one fixed
+// schedule, so the same seed gives the same labels and the same model
+// stats (rounds, PRAM steps, work, processors, space) on any host.
 func WithSeed(seed uint64) Option { return func(c *config) { c.seed = seed } }
 
-// WithWorkers sets the host worker-goroutine count: the pool backing
-// the PRAM simulation, or the shard workers of BackendNative. 0 (the
-// default) selects GOMAXPROCS; 1 gives a deterministic sequential
-// schedule on the simulator.
+// WithWorkers sets the worker-goroutine count of the BackendNative and
+// BackendIncremental engine pools, including the one behind
+// NewIncremental. 0 (the default) selects GOMAXPROCS. The
+// simulated backend accepts it and ignores it: the PRAM simulator runs
+// every step on the calling goroutine and reports Stats.Workers = 1.
 func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
 
 // WithMaxRounds caps the main loop of ConnectedComponents (EXPAND-

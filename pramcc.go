@@ -23,7 +23,7 @@ type Stats struct {
 
 	Backend Backend       // engine that produced the result
 	Wall    time.Duration // wall clock of the run itself — result assembly (label counting) is excluded
-	Workers int           // host goroutine count that executed the run
+	Workers int           // host goroutine count that executed the run (1 on the simulator)
 	Rounds  int           // main-loop rounds: EXPAND-MAXLINK rounds or phases (simulated); 1 for native's one union-find pass (0 on an edgeless graph); batches (incremental)
 
 	// ---- model-only quantities (BackendSimulated; zero on native) ----
@@ -187,7 +187,7 @@ func ConnectedComponentsLogLog(g *graph.Graph, opts ...Option) (*Result, error) 
 		return nil, err
 	}
 	c := apply(opts)
-	m := pram.New(c.workers)
+	m := pram.New(1)
 	p := ccbase.DefaultParams(c.seed)
 	if c.maxPhases > 0 {
 		p.MaxPhases = c.maxPhases
@@ -200,7 +200,7 @@ func ConnectedComponentsLogLog(g *graph.Graph, opts ...Option) (*Result, error) 
 	wall := time.Since(start)
 	out := newResult(wall, res.Labels, Stats{
 		Backend:       BackendSimulated,
-		Workers:       m.Workers(),
+		Workers:       1,
 		Rounds:        res.Phases,
 		PRAMSteps:     res.Stats.Steps,
 		Work:          res.Stats.Work,
@@ -241,13 +241,13 @@ func VanillaComponents(g *graph.Graph, opts ...Option) (*Result, error) {
 		return nil, err
 	}
 	c := apply(opts)
-	m := pram.New(c.workers)
+	m := pram.New(1)
 	start := time.Now()
 	res := vanilla.Run(m, g, c.seed, c.maxPhases)
 	wall := time.Since(start)
 	return newResult(wall, res.Labels, Stats{
 		Backend:       BackendSimulated,
-		Workers:       m.Workers(),
+		Workers:       1,
 		Rounds:        res.Phases,
 		PRAMSteps:     res.Stats.Steps,
 		Work:          res.Stats.Work,

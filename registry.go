@@ -85,7 +85,7 @@ var registry = []backendInfo{
 		name:    "simulated",
 		aliases: []string{"sim"},
 		newEngine: func(c *config) engine {
-			return &simulatedEngine{workers: c.workers}
+			return &simulatedEngine{}
 		},
 	},
 	{
@@ -147,13 +147,12 @@ func errUnknownBackend(v interface{}) error {
 // per solve: the simulator's cost accounting is per-run state, so the
 // machine itself is not reused, only the output buffers are. This is
 // the backend where amortized allocation is irrelevant next to the
-// simulation itself.
-type simulatedEngine struct {
-	workers int
-}
+// simulation itself. The machine runs on the solving goroutine, so the
+// workers knob does not reach it and Stats.Workers reads 1.
+type simulatedEngine struct{}
 
 func (e *simulatedEngine) solve(ctx context.Context, g *graph.Graph, c *config, out *solveOutput) error {
-	m := pram.New(e.workers)
+	m := pram.New(1)
 	p := core.DefaultParams(c.seed)
 	if c.maxRounds > 0 {
 		p.MaxRounds = c.maxRounds
@@ -176,7 +175,7 @@ func (e *simulatedEngine) solve(ctx context.Context, g *graph.Graph, c *config, 
 	out.setLabels(res.Labels)
 	out.stats = Stats{
 		Backend:       BackendSimulated,
-		Workers:       m.Workers(),
+		Workers:       1,
 		Rounds:        res.Rounds,
 		PRAMSteps:     res.Stats.Steps,
 		Work:          res.Stats.Work,

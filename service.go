@@ -241,9 +241,6 @@ func (sv *Service) IngestSpan(ctx context.Context, span graph.EdgeSpan) (*Result
 	mIngestSpans.Inc()
 	mIngestEdges.Add(int64(span.Len()))
 	mIngestDur.Observe(out.stats.Wall.Seconds())
-	if s := out.stats.Wall.Seconds(); s > 0 {
-		mIngestRate.Set(int64(float64(span.Len()) / s))
-	}
 	if obsEnabled() {
 		emitService("ingest_span", statusOf(nil), out.stats.Wall, map[string]float64{
 			"edges":      float64(span.Len()),

@@ -181,7 +181,7 @@ func (s *Solver) SpanningForest(ctx context.Context, g *graph.Graph) (*ForestRes
 // spanningForest is the shared implementation behind the free
 // SpanningForest function and Solver.SpanningForest.
 func spanningForest(ctx context.Context, g *graph.Graph, c config) (*ForestResult, error) {
-	m := pram.New(c.workers)
+	m := pram.New(1)
 	p := spanning.DefaultParams(c.seed)
 	if c.maxPhases > 0 {
 		p.MaxPhases = c.maxPhases
@@ -202,7 +202,7 @@ func spanningForest(ctx context.Context, g *graph.Graph, c config) (*ForestResul
 	out := &ForestResult{
 		Result: *newResult(wall, res.Labels, Stats{
 			Backend:       BackendSimulated,
-			Workers:       m.Workers(),
+			Workers:       1,
 			Rounds:        res.Phases,
 			PRAMSteps:     res.Stats.Steps,
 			Work:          res.Stats.Work,
