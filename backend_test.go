@@ -462,18 +462,19 @@ func FuzzBackendEquivalence(f *testing.F) {
 				t.Fatalf("incremental label[%d] = %d, native %d", v, one.Labels[v], res.Labels[v])
 			}
 		}
-		// Batched replay: the partition must not depend on the split.
-		inc, err := NewIncremental(g.N, WithWorkers(int(workersRaw%17)))
+		// Batched replay through the boxed Service.Ingest boundary: the
+		// partition must not depend on the split.
+		sv, err := NewService(g.N, WithBackend(BackendIncremental), WithWorkers(int(workersRaw%17)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer inc.Close()
-		for _, batch := range g.EdgeBatches(int(batchesRaw%29) + 1) {
-			if _, err := inc.AddEdges(batch); err != nil {
+		defer sv.Close()
+		for _, batch := range g.SpanBatches(int(batchesRaw%29) + 1) {
+			if _, err := sv.Ingest(context.Background(), batch.Pairs()); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := check.SamePartition(inc.Labels(), oracle); err != nil {
+		if err := check.SamePartition(sv.Labels(), oracle); err != nil {
 			t.Fatalf("batched incremental: %v", err)
 		}
 	})

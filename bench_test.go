@@ -128,28 +128,36 @@ func BenchmarkSolverReuse(b *testing.B) {
 	}
 }
 
-// BenchmarkIncrementalBatches is the streaming scenario: the benchGraph
-// workload replayed in 16 batches through the Incremental handle, so
-// the baseline tracks per-batch maintenance cost next to the one-shot
-// backends above.
-func BenchmarkIncrementalBatches(b *testing.B) {
-	g := benchGraph()
-	batches := g.EdgeBatches(16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		inc, err := pramcc.NewIncremental(g.N)
-		if err != nil {
+// replaySpans streams spans into a fresh BackendIncremental Service —
+// the package's streaming handle — and closes it: one iteration of
+// the streaming benchmarks here and of the incremental-replay gate
+// rows.
+func replaySpans(b *testing.B, n int, spans []graph.EdgeSpan, opts ...pramcc.Option) {
+	sv, err := pramcc.NewService(n, append([]pramcc.Option{pramcc.WithBackend(pramcc.BackendIncremental)}, opts...)...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer sv.Close()
+	for _, span := range spans {
+		if _, err := sv.IngestSpan(context.Background(), span); err != nil {
 			b.Fatal(err)
 		}
-		for _, batch := range batches {
-			if _, err := inc.AddEdges(batch); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if inc.ComponentCount() == 0 {
-			b.Fatal("no components")
-		}
-		inc.Close()
+	}
+	if sv.NumComponents() == 0 {
+		b.Fatal("no components")
+	}
+}
+
+// BenchmarkIncrementalBatches is the streaming scenario: the benchGraph
+// workload replayed in 16 batches through a BackendIncremental
+// Service, so the baseline tracks per-batch maintenance cost next to
+// the one-shot backends above.
+func BenchmarkIncrementalBatches(b *testing.B) {
+	g := benchGraph()
+	batches := g.SpanBatches(16)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		replaySpans(b, g.N, batches)
 	}
 }
 
@@ -167,28 +175,20 @@ func ingestBenchGraph() *graph.Graph {
 // comparison behind experiment E14, measured end-to-end at the public
 // API as a streaming consumer runs it: batch construction from the
 // resident graph plus ingestion. The span side slices the graph's arc
-// columns in place (SpanBatches + AddSpan, the zero-copy pipeline —
-// its replay layer performs zero allocations, enforced by
+// columns in place (SpanBatches + Service.IngestSpan, the zero-copy
+// pipeline — its replay layer performs zero allocations, enforced by
 // TestSpanIngestZeroAlloc in internal/incremental; the allocs/op
 // reported here are snapshot publication and engine setup only); the
-// pairs side materializes [][2]int batches (EdgeBatches + AddEdges,
-// the kept compatibility adapters). Both end in the identical
-// union-find; the difference is pure replay-layer overhead.
+// pairs side materializes each batch as [][2]int and goes through
+// Service.Ingest, the boxed boundary, which converts it back with
+// graph.FromPairs. Both end in the identical union-find; the
+// difference is pure replay-layer overhead.
 func BenchmarkIngestSpan(b *testing.B) {
 	g := ingestBenchGraph()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		inc, err := pramcc.NewIncremental(g.N)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, batch := range g.SpanBatches(16) {
-			if _, err := inc.AddSpan(batch); err != nil {
-				b.Fatal(err)
-			}
-		}
-		inc.Close()
+		replaySpans(b, g.N, g.SpanBatches(16))
 	}
 	b.ReportMetric(float64(g.NumEdges())*float64(b.N)/b.Elapsed().Seconds(), "edges/s")
 }
@@ -206,35 +206,27 @@ func BenchmarkIngestSpanInstrumented(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		inc, err := pramcc.NewIncremental(g.N)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, batch := range g.SpanBatches(16) {
-			if _, err := inc.AddSpan(batch); err != nil {
-				b.Fatal(err)
-			}
-		}
-		inc.Close()
+		replaySpans(b, g.N, g.SpanBatches(16))
 	}
 	b.ReportMetric(float64(g.NumEdges())*float64(b.N)/b.Elapsed().Seconds(), "edges/s")
 }
 
 func BenchmarkIngestPairs(b *testing.B) {
 	g := ingestBenchGraph()
+	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		inc, err := pramcc.NewIncremental(g.N)
+		sv, err := pramcc.NewService(g.N, pramcc.WithBackend(pramcc.BackendIncremental))
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, batch := range g.EdgeBatches(16) {
-			if _, err := inc.AddEdges(batch); err != nil {
+		for _, batch := range g.SpanBatches(16) {
+			if _, err := sv.Ingest(ctx, batch.Pairs()); err != nil {
 				b.Fatal(err)
 			}
 		}
-		inc.Close()
+		sv.Close()
 	}
 	b.ReportMetric(float64(g.NumEdges())*float64(b.N)/b.Elapsed().Seconds(), "edges/s")
 }

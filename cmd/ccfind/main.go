@@ -10,11 +10,11 @@
 // With no file, stdin is read. Output: a summary line; per-vertex
 // "vertex label" pairs with -v; the forest edge list with -forest.
 //
-// With -batches K, the edge list is replayed in K batches through the
-// streaming incremental backend (pramcc.Incremental): one line per
-// batch with the running component count and the batch's ingestion
-// latency, then the summary. This is the command-line view of the
-// scenario experiment E12 measures (see EXPERIMENTS.md).
+// With -batches K, the edge list is replayed in K batches through a
+// streaming pramcc.Service on BackendIncremental (Service.IngestSpan):
+// one line per batch with the running component count and the batch's
+// ingestion latency, then the summary. This is the command-line view
+// of the scenario experiment E12 measures (see EXPERIMENTS.md).
 package main
 
 import (

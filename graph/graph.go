@@ -155,28 +155,6 @@ func (g *Graph) Edges() [][2]int {
 	return g.Span().Pairs()
 }
 
-// EdgeBatches splits the edge list into k contiguous batches of
-// near-equal size (sizes differ by at most one, earlier batches get
-// the extra edges), preserving insertion order. The batch boundaries
-// are identical to SpanBatches' (both use the same splitting rule).
-// k < 1 is treated as 1; if the graph has fewer than k edges, fewer
-// (possibly zero) batches are returned, none of them empty.
-//
-// Deprecated: EdgeBatches materializes the whole edge list as
-// [][2]int before slicing it. Use SpanBatches, whose batches alias
-// the graph's arc columns with no copy at all; EdgeBatches remains as
-// the adapter for callers replaying through the [][2]int ingest
-// methods.
-func (g *Graph) EdgeBatches(k int) [][][2]int {
-	edges := g.Edges()
-	cuts := batchCuts(len(edges), k)
-	out := make([][][2]int, len(cuts)-1)
-	for i := range out {
-		out[i] = edges[cuts[i]:cuts[i+1]:cuts[i+1]]
-	}
-	return out
-}
-
 // SortedDedupEdges returns the edge list with endpoints normalized
 // (min,max), sorted, and duplicates removed. Useful in tests.
 func (g *Graph) SortedDedupEdges() [][2]int {

@@ -9,7 +9,7 @@ import "fmt"
 // taken from a Graph (Span, SpanBatches) or a loader (ReadBinarySpan,
 // ParseEdgeListSpan) aliases the graph's own arc columns: no edge is
 // copied, boxed into [2]int, or widened to int, which is what lets the
-// streaming replay path (Service.IngestSpan, Incremental.AddSpan,
+// streaming replay path (Service.IngestSpan, Tenant.IngestSpan,
 // ccfind -batches) move batches between layers at 8 bytes per edge
 // with zero per-batch materialization.
 //
@@ -101,44 +101,26 @@ func (s EdgeSpan) Validate(n int) error {
 	return nil
 }
 
-// batchCuts splits m items into k near-equal contiguous batches
-// (sizes differ by at most one, earlier batches get the extra items)
-// and returns the k+1 cut points. k < 1 is treated as 1; k is capped
-// at m so no batch is empty (zero batches for an empty range). This
-// is the single splitting rule behind SpanBatches and EdgeBatches, so
-// the two replay paths see identical batch boundaries.
-func batchCuts(m, k int) []int {
-	if k < 1 {
-		k = 1
-	}
-	if k > m {
-		k = m
-	}
-	cuts := make([]int, k+1)
-	for i, start := 0, 0; i < k; i++ {
-		size := m / k
-		if i < m%k {
-			size++
-		}
-		start += size
-		cuts[i+1] = start
-	}
-	return cuts
-}
-
 // SpanBatches splits the graph's edges into k contiguous spans of
-// near-equal size (same splitting rule as EdgeBatches), preserving
-// insertion order. The spans alias the graph's arc columns directly —
-// no edge is copied — so replaying a graph through the streaming
-// backend in batches costs nothing beyond the slice headers. k < 1 is
-// treated as 1; a graph with fewer than k edges yields fewer
-// (possibly zero) batches, none of them empty.
+// near-equal size (sizes differ by at most one, earlier batches get
+// the extra edges), preserving insertion order. The spans alias the
+// graph's arc columns directly — no edge is copied — so replaying a
+// graph through the streaming backend in batches costs nothing beyond
+// the slice headers. k < 1 is treated as 1; a graph with fewer than k
+// edges yields fewer (possibly zero) batches, none of them empty.
 func (g *Graph) SpanBatches(k int) []EdgeSpan {
 	s := g.Span()
-	cuts := batchCuts(s.Len(), k)
-	out := make([]EdgeSpan, len(cuts)-1)
+	m := s.Len()
+	k = min(max(k, 1), m)
+	out := make([]EdgeSpan, k)
+	lo := 0
 	for i := range out {
-		out[i] = s.Slice(cuts[i], cuts[i+1])
+		hi := lo + m/k
+		if i < m%k {
+			hi++
+		}
+		out[i] = s.Slice(lo, hi)
+		lo = hi
 	}
 	return out
 }

@@ -101,23 +101,30 @@ func TestSpanValidateRejects(t *testing.T) {
 	}
 }
 
-// TestSpanBatchesMatchEdgeBatches pins the shared splitting rule: the
-// two replay representations must cut the edge list at identical
-// boundaries for every k, including the degenerate ones.
-func TestSpanBatchesMatchEdgeBatches(t *testing.T) {
-	g := Gnm(50, 137, 3)
-	for _, k := range []int{-1, 0, 1, 2, 3, 7, 136, 137, 138, 1000} {
-		spans := g.SpanBatches(k)
-		pairs := g.EdgeBatches(k)
-		if len(spans) != len(pairs) {
-			t.Fatalf("k=%d: %d span batches vs %d pair batches", k, len(spans), len(pairs))
-		}
-		for i := range spans {
-			if spans[i].Len() == 0 {
-				t.Fatalf("k=%d: empty span batch %d", k, i)
+// TestSpanBatches pins the splitting rule: for every k, including the
+// degenerate ones, the batch count is k clamped to [1, m], no batch
+// is empty, sizes differ by at most one with the first batch largest,
+// and the concatenated batches reproduce Edges() in insertion order.
+func TestSpanBatches(t *testing.T) {
+	for _, g := range []*Graph{Gnm(50, 137, 3), Gnm(100, 57, 3)} {
+		m := g.NumEdges()
+		for _, k := range []int{-3, -1, 0, 1, 2, 3, 5, 7, 57, 100, 136, 137, 138, 1000} {
+			spans := g.SpanBatches(k)
+			if want := max(1, min(k, m)); len(spans) != want {
+				t.Fatalf("m=%d k=%d: %d batches, want %d", m, k, len(spans), want)
 			}
-			if !reflect.DeepEqual(spans[i].Pairs(), pairs[i]) {
-				t.Fatalf("k=%d batch %d: span %v vs pairs %v", k, i, spans[i].Pairs(), pairs[i])
+			var flat [][2]int
+			for i, s := range spans {
+				if s.Len() == 0 {
+					t.Fatalf("m=%d k=%d: empty batch %d", m, k, i)
+				}
+				if l0 := spans[0].Len(); s.Len() > l0 || l0-s.Len() > 1 {
+					t.Fatalf("m=%d k=%d: batch %d has %d edges, first has %d", m, k, i, s.Len(), l0)
+				}
+				flat = append(flat, s.Pairs()...)
+			}
+			if !reflect.DeepEqual(flat, g.Edges()) {
+				t.Fatalf("m=%d k=%d: concatenated batches differ from Edges()", m, k)
 			}
 		}
 	}

@@ -1,6 +1,8 @@
 package pramcc
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -11,52 +13,52 @@ import (
 	"repro/internal/check"
 )
 
-// TestIncrementalStreaming: the happy path of the streaming API — a
-// graph replayed in batches with fresh answers between batches.
-func TestIncrementalStreaming(t *testing.T) {
-	g := graph.CliqueBeads(graph.CliqueBeadsSpec{Beads: 20, Size: 10, IntraDeg: 6, Bridges: 1, Seed: 7})
-	inc, err := NewIncremental(g.N, WithWorkers(4))
+// newStream returns a streaming Service on the incremental backend —
+// the package's one streaming handle — closed at test end.
+func newStream(t *testing.T, n int, opts ...Option) *Service {
+	t.Helper()
+	sv, err := NewService(n, append([]Option{WithBackend(BackendIncremental)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer inc.Close()
-	if inc.ComponentCount() != g.N || inc.N() != g.N {
-		t.Fatalf("fresh handle: count=%d n=%d", inc.ComponentCount(), inc.N())
+	t.Cleanup(sv.Close)
+	return sv
+}
+
+// TestIncrementalStreaming: the happy path of streaming on the
+// incremental backend — a graph replayed in boxed batches with fresh
+// answers and per-batch stats between batches.
+func TestIncrementalStreaming(t *testing.T) {
+	g := graph.CliqueBeads(graph.CliqueBeadsSpec{Beads: 20, Size: 10, IntraDeg: 6, Bridges: 1, Seed: 7})
+	sv := newStream(t, g.N, WithWorkers(4))
+	if sv.NumComponents() != g.N || sv.N() != g.N {
+		t.Fatalf("fresh service: count=%d n=%d", sv.NumComponents(), sv.N())
 	}
-	batches := g.EdgeBatches(7)
-	var total int64
+	batches := g.SpanBatches(7)
 	for i, batch := range batches {
-		bs, err := inc.AddEdges(batch)
+		res, err := sv.Ingest(context.Background(), batch.Pairs())
 		if err != nil {
 			t.Fatal(err)
 		}
-		total += int64(len(batch))
-		if bs.Batch != i+1 || bs.Edges != len(batch) || bs.TotalEdges != total {
-			t.Fatalf("batch stats %+v, want batch=%d edges=%d total=%d", bs, i+1, len(batch), total)
+		st := res.Stats
+		if st.Backend != BackendIncremental || st.Workers != 4 || st.Rounds != i+1 {
+			t.Fatalf("batch %d stats %+v, want backend=incremental workers=4 rounds=%d", i, st, i+1)
 		}
-		if bs.Components != inc.ComponentCount() {
-			t.Fatalf("BatchStats.Components=%d, handle says %d", bs.Components, inc.ComponentCount())
+		if res != sv.Snapshot() || res.NumComponents != sv.NumComponents() {
+			t.Fatalf("batch %d: result is not the published snapshot (%d vs %d components)",
+				i, res.NumComponents, sv.NumComponents())
 		}
 	}
-	if inc.BatchCount() != len(batches) || inc.EdgeCount() != total {
-		t.Fatalf("bookkeeping: batches=%d edges=%d", inc.BatchCount(), inc.EdgeCount())
-	}
-	if err := check.SamePartition(inc.Labels(), baseline.Components(g)); err != nil {
+	if err := check.SamePartition(sv.Labels(), baseline.Components(g)); err != nil {
 		t.Fatal(err)
 	}
-	res := inc.Result()
-	if res.Stats.Backend != BackendIncremental || res.Stats.Rounds != len(batches) {
-		t.Fatalf("Result stats: %+v", res.Stats)
-	}
-	if res.NumComponents != inc.ComponentCount() {
-		t.Fatalf("Result components %d, handle %d", res.NumComponents, inc.ComponentCount())
+	if sv.Snapshot().Stats.Rounds != len(batches) {
+		t.Fatalf("snapshot rounds %d, want %d batches", sv.Snapshot().Stats.Rounds, len(batches))
 	}
 }
 
 // TestIncrementalMatchesSimulated: after any randomized batch split,
-// the streaming handle's partition equals the simulated Theorem-3
-// partition — the acceptance triangle of ISSUE 2 on the streaming
-// path.
+// the streamed partition equals the simulated Theorem-3 partition.
 func TestIncrementalMatchesSimulated(t *testing.T) {
 	g := graph.Gnm(2000, 6000, 19)
 	sim, err := Components(g, WithSeed(5))
@@ -67,69 +69,64 @@ func TestIncrementalMatchesSimulated(t *testing.T) {
 	edges := g.Edges()
 	for trial := 0; trial < 3; trial++ {
 		rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
-		inc, err := NewIncremental(g.N)
-		if err != nil {
-			t.Fatal(err)
-		}
+		sv := newStream(t, g.N)
 		for lo := 0; lo < len(edges); {
 			hi := lo + 1 + rng.Intn(len(edges)-lo)
-			if _, err := inc.AddEdges(edges[lo:hi]); err != nil {
+			if _, err := sv.Ingest(context.Background(), edges[lo:hi]); err != nil {
 				t.Fatal(err)
 			}
 			lo = hi
 		}
-		if err := check.SamePartition(inc.Labels(), sim.Labels); err != nil {
+		if err := check.SamePartition(sv.Labels(), sim.Labels); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		inc.Close()
 	}
 }
 
-// TestIncrementalErrors: constructor and batch validation.
+// TestIncrementalErrors: constructor and batch validation, and the
+// closed-service contract.
 func TestIncrementalErrors(t *testing.T) {
-	if _, err := NewIncremental(-1); err == nil {
-		t.Fatal("NewIncremental(-1) succeeded")
+	if _, err := NewService(-1, WithBackend(BackendIncremental)); err == nil {
+		t.Fatal("NewService(-1) succeeded")
 	}
-	inc, err := NewIncremental(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := inc.AddEdges([][2]int{{0, 10}}); err == nil {
+	sv := newStream(t, 10)
+	ctx := context.Background()
+	if _, err := sv.Ingest(ctx, [][2]int{{0, 10}}); err == nil {
 		t.Fatal("out-of-range edge accepted")
 	}
-	if _, err := inc.AddEdges([][2]int{{-1, 0}}); err == nil {
+	if _, err := sv.Ingest(ctx, [][2]int{{-1, 0}}); err == nil {
 		t.Fatal("negative endpoint accepted")
 	}
 	// A rejected batch must not have been partially applied.
-	if _, err := inc.AddEdges([][2]int{{0, 1}, {2, 99}}); err == nil {
+	if _, err := sv.Ingest(ctx, [][2]int{{0, 1}, {2, 99}}); err == nil {
 		t.Fatal("half-bad batch accepted")
 	}
-	if inc.SameComponent(0, 1) {
+	if sv.SameComponent(0, 1) {
 		t.Fatal("rejected batch was partially applied")
 	}
-	if bs, err := inc.AddEdges([][2]int{{0, 1}}); err != nil || bs.Components != 9 {
-		t.Fatalf("good batch after rejections: %+v, %v", bs, err)
+	res, err := sv.Ingest(ctx, [][2]int{{0, 1}})
+	if err != nil {
+		t.Fatalf("good batch after rejections: %v", err)
 	}
-	inc.Close()
-	inc.Close() // double Close is a no-op
-	if _, err := inc.AddEdges([][2]int{{0, 1}}); err == nil {
-		t.Fatal("AddEdges after Close succeeded")
+	if res.NumComponents != 9 {
+		t.Fatalf("good batch after rejections: %d components, want 9", res.NumComponents)
 	}
-	if !inc.SameComponent(0, 1) {
+	sv.Close()
+	sv.Close() // double Close is a no-op
+	if _, err := sv.Ingest(ctx, [][2]int{{0, 1}}); !errors.Is(err, ErrSolverClosed) {
+		t.Fatalf("Ingest after Close: %v, want ErrSolverClosed", err)
+	}
+	if !sv.SameComponent(0, 1) {
 		t.Fatal("queries must stay valid after Close")
 	}
 }
 
 // TestIncrementalConcurrentQueries: the documented contract — queries
-// racing AddEdges are safe and see consistent snapshots (run under
+// racing Ingest are safe and see consistent snapshots (run under
 // -race in CI).
 func TestIncrementalConcurrentQueries(t *testing.T) {
 	g := graph.Gnm(3000, 15000, 23)
-	inc, err := NewIncremental(g.N)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer inc.Close()
+	sv := newStream(t, g.N)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for r := 0; r < 3; r++ {
@@ -141,38 +138,37 @@ func TestIncrementalConcurrentQueries(t *testing.T) {
 				case <-stop:
 					return
 				default:
-					_ = inc.ComponentCount()
-					_ = inc.SameComponent(0, g.N-1)
+					_ = sv.NumComponents()
+					_ = sv.SameComponent(0, g.N-1)
 				}
 			}
 		}()
 	}
-	for _, batch := range g.EdgeBatches(40) {
-		if _, err := inc.AddEdges(batch); err != nil {
+	for _, batch := range g.SpanBatches(40) {
+		if _, err := sv.Ingest(context.Background(), batch.Pairs()); err != nil {
 			t.Fatal(err)
 		}
 	}
 	close(stop)
 	wg.Wait()
-	if err := check.SamePartition(inc.Labels(), baseline.Components(g)); err != nil {
+	if err := check.SamePartition(sv.Labels(), baseline.Components(g)); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestIncrementalCloseRace is the ISSUE-4 regression for the
-// unsynchronized `closed bool`: Close racing AddEdges (and other
-// Close calls) was a data race. Both are now serialized on the
-// handle's mutex — this test must stay clean under -race, every
-// AddEdges must either apply fully or report the closed error, and
-// queries must survive throughout.
+// TestIncrementalCloseRace: Close racing Ingest (and other Close
+// calls) must stay clean under -race — both serialize on the
+// service's writer mutex — every Ingest must either apply fully or
+// report ErrSolverClosed, and queries must survive throughout.
 func TestIncrementalCloseRace(t *testing.T) {
+	ctx := context.Background()
 	for trial := 0; trial < 8; trial++ {
 		g := graph.Gnm(2000, 8000, int64(trial))
-		inc, err := NewIncremental(g.N, WithWorkers(2))
+		sv, err := NewService(g.N, WithBackend(BackendIncremental), WithWorkers(2))
 		if err != nil {
 			t.Fatal(err)
 		}
-		batches := g.EdgeBatches(16)
+		batches := g.SpanBatches(16)
 		var wg sync.WaitGroup
 		start := make(chan struct{})
 		wg.Add(3)
@@ -180,9 +176,12 @@ func TestIncrementalCloseRace(t *testing.T) {
 			defer wg.Done()
 			<-start
 			for _, b := range batches {
-				if _, err := inc.AddEdges(b); err != nil {
-					if inc.SameComponent(0, 0) != true {
-						t.Error("queries broken after closed-handle error")
+				if _, err := sv.Ingest(ctx, b.Pairs()); err != nil {
+					if !errors.Is(err, ErrSolverClosed) {
+						t.Errorf("Ingest racing Close: %v", err)
+					}
+					if !sv.SameComponent(0, 0) {
+						t.Error("queries broken after closed-service error")
 					}
 					return // closed underneath us: the documented outcome
 				}
@@ -194,21 +193,21 @@ func TestIncrementalCloseRace(t *testing.T) {
 			if trial%2 == 0 {
 				runtime.Gosched()
 			}
-			inc.Close()
+			sv.Close()
 		}()
 		go func() { // second closer: Close must be idempotent under race
 			defer wg.Done()
 			<-start
-			inc.Close()
+			sv.Close()
 		}()
 		close(start)
 		wg.Wait()
-		// Whatever the interleaving, the handle is closed now and the
+		// Whatever the interleaving, the service is closed now and the
 		// snapshot is a consistent batch boundary.
-		if _, err := inc.AddEdges([][2]int{{0, 1}}); err == nil {
-			t.Fatal("AddEdges succeeded after Close")
+		if _, err := sv.Ingest(ctx, [][2]int{{0, 1}}); err == nil {
+			t.Fatal("Ingest succeeded after Close")
 		}
-		n := inc.ComponentCount()
+		n := sv.NumComponents()
 		if n < 1 || n > g.N {
 			t.Fatalf("inconsistent component count %d", n)
 		}

@@ -1,7 +1,6 @@
 package incremental
 
 import (
-	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -45,11 +44,14 @@ func TestBatchSplitInvariance(t *testing.T) {
 			edges := g.Edges()
 			for trial := 0; trial < 4; trial++ {
 				rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+				span := graph.FromPairs(edges)
 				e := New(g.N, Options{Workers: 1 + rng.Intn(8)})
 				// Random cut points: between 1 and 7 batches of random sizes.
 				for lo := 0; lo < len(edges); {
 					hi := lo + 1 + rng.Intn(len(edges)-lo)
-					e.AddEdges(edges[lo:hi])
+					if _, err := e.AddSpan(span.Slice(lo, hi)); err != nil {
+						t.Fatal(err)
+					}
 					lo = hi
 				}
 				snap := e.Snapshot()
@@ -87,12 +89,12 @@ func TestSnapshotMonotonicity(t *testing.T) {
 	}
 	uf := baseline.NewUnionFind(g.N)
 	prev := g.N
-	for _, batch := range g.EdgeBatches(9) {
-		snap, err := e.AddEdges(batch)
+	for _, batch := range g.SpanBatches(9) {
+		snap, err := e.AddSpan(batch)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, ed := range batch {
+		for _, ed := range batch.Pairs() {
 			uf.Union(int32(ed[0]), int32(ed[1]))
 		}
 		if snap.Components > prev {
@@ -110,7 +112,7 @@ func TestSnapshotMonotonicity(t *testing.T) {
 }
 
 // TestConcurrentQueriesDuringIngest: SameComponent/ComponentCount/
-// Snapshot racing an in-flight AddEdges must be safe (the race
+// Snapshot racing an in-flight AddSpan must be safe (the race
 // detector is the assertion) and must only ever observe consistent
 // batch-boundary states: a snapshot's component count always matches
 // its labels.
@@ -139,8 +141,10 @@ func TestConcurrentQueriesDuringIngest(t *testing.T) {
 			}
 		}(r)
 	}
-	for _, batch := range g.EdgeBatches(50) {
-		e.AddEdges(batch)
+	for _, batch := range g.SpanBatches(50) {
+		if _, err := e.AddSpan(batch); err != nil {
+			t.Fatal(err)
+		}
 	}
 	close(stop)
 	wg.Wait()
@@ -153,18 +157,18 @@ func TestConcurrentQueriesDuringIngest(t *testing.T) {
 // empty batches.
 func TestDegenerateInputs(t *testing.T) {
 	e := New(0, Options{})
-	if s, err := e.AddEdges(nil); err != nil || s.Components != 0 || s.Batches != 1 {
+	if s, err := e.AddSpan(graph.EdgeSpan{}); err != nil || s.Components != 0 || s.Batches != 1 {
 		t.Fatalf("empty engine snapshot: %+v, %v", s, err)
 	}
 	e.Close()
 
 	e = New(5, Options{Workers: 3})
 	defer e.Close()
-	e.AddEdges(nil) // empty batch still publishes
+	e.AddSpan(graph.EdgeSpan{}) // empty batch still publishes
 	if e.Batches() != 1 || e.ComponentCount() != 5 {
 		t.Fatalf("after empty batch: batches=%d components=%d", e.Batches(), e.ComponentCount())
 	}
-	snap, err := e.AddEdges([][2]int{{2, 2}, {0, 1}, {1, 0}, {0, 1}}) // self-loop + parallels
+	snap, err := e.AddSpan(graph.FromPairs([][2]int{{2, 2}, {0, 1}, {1, 0}, {0, 1}})) // self-loop + parallels
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,12 +182,12 @@ func TestDegenerateInputs(t *testing.T) {
 		t.Fatal("SameComponent wrong after degenerate batch")
 	}
 
-	if _, err := e.AddEdges([][2]int{{0, 5}}); err == nil {
+	if _, err := e.AddSpan(graph.FromPairs([][2]int{{0, 5}})); err == nil {
 		t.Fatal("out-of-range edge accepted")
 	}
 	// A rejected batch must not be applied even partially: the valid
 	// {0,2} edge precedes the bad one, yet 2 must stay isolated.
-	if _, err := e.AddEdges([][2]int{{0, 2}, {-1, 2}}); err == nil {
+	if _, err := e.AddSpan(graph.FromPairs([][2]int{{0, 2}, {-1, 2}})); err == nil {
 		t.Fatal("negative endpoint accepted")
 	}
 	if e.SameComponent(0, 2) || e.Batches() != 2 {
@@ -222,12 +226,12 @@ func BenchmarkIncrementalOneBatch(b *testing.B) {
 
 func BenchmarkIncrementalStream16(b *testing.B) {
 	g := graph.Gnm(100000, 400000, 42)
-	batches := g.EdgeBatches(16)
+	batches := g.SpanBatches(16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e := New(g.N, Options{})
 		for _, batch := range batches {
-			e.AddEdges(batch)
+			e.AddSpan(batch)
 		}
 		e.Close()
 	}
@@ -242,13 +246,14 @@ func BenchmarkIncrementalAppendBatch(b *testing.B) {
 	defer e.Close()
 	e.AddGraph(g)
 	rng := rand.New(rand.NewSource(7))
-	batch := make([][2]int, 1024)
+	batch := graph.EdgeSpan{U: make([]int32, 2*1024), V: make([]int32, 2*1024)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for j := range batch {
-			batch[j] = [2]int{rng.Intn(g.N), rng.Intn(g.N)}
+		for j := 0; j < len(batch.U); j += 2 {
+			u, v := int32(rng.Intn(g.N)), int32(rng.Intn(g.N))
+			batch.U[j], batch.V[j], batch.U[j+1], batch.V[j+1] = u, v, v, u
 		}
-		e.AddEdges(batch)
+		e.AddSpan(batch)
 	}
 }
 
@@ -284,7 +289,7 @@ func TestEngineReset(t *testing.T) {
 func TestEngineGrow(t *testing.T) {
 	e := New(10, Options{Workers: 2})
 	defer e.Close()
-	if _, err := e.AddEdges([][2]int{{0, 1}, {1, 2}}); err != nil {
+	if _, err := e.AddSpan(graph.FromPairs([][2]int{{0, 1}, {1, 2}})); err != nil {
 		t.Fatal(err)
 	}
 	e.Grow(12)
@@ -292,7 +297,7 @@ func TestEngineGrow(t *testing.T) {
 	if e.N() != 12 {
 		t.Fatalf("N after grow = %d", e.N())
 	}
-	snap, err := e.AddEdges([][2]int{{2, 10}})
+	snap, err := e.AddSpan(graph.FromPairs([][2]int{{2, 10}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,35 +310,5 @@ func TestEngineGrow(t *testing.T) {
 	// 12 vertices, component {0,1,2,10}, 8 singletons => 9 components.
 	if snap.Components != 9 {
 		t.Fatalf("components = %d, want 9", snap.Components)
-	}
-}
-
-// TestAddEdgesContextCancelled: a cancelled batch publishes nothing —
-// queries keep seeing the previous batch boundary — and re-submitting
-// the batch completes it exactly (unions are idempotent).
-func TestAddEdgesContextCancelled(t *testing.T) {
-	g := graph.Gnm(3000, 12000, 17)
-	e := New(g.N, Options{Workers: 2})
-	defer e.Close()
-	batches := g.EdgeBatches(3)
-	if _, err := e.AddEdges(batches[0]); err != nil {
-		t.Fatal(err)
-	}
-	before := e.Snapshot()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := e.AddEdgesContext(ctx, batches[1]); err != context.Canceled {
-		t.Fatalf("AddEdgesContext = %v, want context.Canceled", err)
-	}
-	if e.Snapshot() != before {
-		t.Fatal("cancelled batch advanced the snapshot")
-	}
-	for _, b := range batches[1:] {
-		if _, err := e.AddEdges(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := check.SamePartition(e.Snapshot().Labels, baseline.Components(g)); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -12,8 +12,11 @@ import (
 
 // TestAddSpanMatchesAddEdges: replaying the same graph through the
 // columnar span path and the boxed pair path must produce the exact
-// same labels — and both must match the minimum-id oracle — for
-// every structural family and across random batch splits.
+// same labels — and both must match the minimum-id oracle — for every
+// structural family and across random batch splits. "AddEdges" names
+// the boxed path: each batch's edges as [][2]int, converted by
+// graph.FromPairs and then ingested with AddSpan — the work
+// Service.Ingest does at the public boundary.
 func TestAddSpanMatchesAddEdges(t *testing.T) {
 	for name, g := range zoo() {
 		t.Run(name, func(t *testing.T) {
@@ -28,8 +31,8 @@ func TestAddSpanMatchesAddEdges(t *testing.T) {
 					}
 				}
 				pairEng := New(g.N, Options{Workers: 1 + rng.Intn(8)})
-				for _, b := range g.EdgeBatches(k) {
-					if _, err := pairEng.AddEdges(b); err != nil {
+				for _, b := range g.SpanBatches(k) {
+					if _, err := pairEng.AddSpan(graph.FromPairs(b.Pairs())); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -94,9 +97,9 @@ func TestAddSpanDegenerate(t *testing.T) {
 	}
 }
 
-// TestAddSpanContextCancelled: the cancellation contract of the span
-// path matches AddEdgesContext — nothing published, idempotent
-// completion on resubmission.
+// TestAddSpanContextCancelled: a cancelled batch publishes nothing —
+// queries keep seeing the previous batch boundary — and re-submitting
+// the batch completes it exactly (unions are idempotent).
 func TestAddSpanContextCancelled(t *testing.T) {
 	g := graph.Gnm(3000, 12000, 23)
 	e := New(g.N, Options{Workers: 2})
@@ -173,7 +176,8 @@ func TestSpanIngestZeroAlloc(t *testing.T) {
 // BenchmarkEngineIngestSpan / BenchmarkEngineIngestPairs: the replay
 // comparison at the engine layer (fresh forest per iteration, batch
 // construction included — the quantity experiment E14 sweeps at full
-// scale).
+// scale). The pairs side boxes each batch and converts it back with
+// graph.FromPairs, the boxed public boundary's work.
 func BenchmarkEngineIngestSpan(b *testing.B) {
 	g := graph.Gnm(100000, 400000, 42)
 	b.SetBytes(int64(g.NumEdges()))
@@ -197,8 +201,8 @@ func BenchmarkEngineIngestPairs(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e := New(g.N, Options{})
-		for _, batch := range g.EdgeBatches(16) {
-			if _, err := e.AddEdges(batch); err != nil {
+		for _, batch := range g.SpanBatches(16) {
+			if _, err := e.AddSpan(graph.FromPairs(batch.Pairs())); err != nil {
 				b.Fatal(err)
 			}
 		}

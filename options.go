@@ -26,9 +26,9 @@ const (
 	// (internal/incremental): a lock-free CAS-linked disjoint-set
 	// forest built for batched edge arrival. Components feeds the
 	// whole graph as a single batch and returns the same partition as
-	// the other backends; the engine's real strength is the streaming
-	// Incremental handle, where each batch costs Θ(batch) union work
-	// plus a Θ(n) snapshot flatten instead of a full multi-round
+	// the other backends; the engine's real strength is streaming
+	// ingest through a Service, where each batch costs Θ(batch) union
+	// work plus a Θ(n) snapshot flatten instead of a full multi-round
 	// recompute over all edges. Model-only Stats fields are zero.
 	BackendIncremental
 )
@@ -142,8 +142,8 @@ func WithInitialVertices(n int) Option { return func(c *config) { c.initialVerti
 func WithSeed(seed uint64) Option { return func(c *config) { c.seed = seed } }
 
 // WithWorkers sets the worker-goroutine count of the BackendNative and
-// BackendIncremental engine pools, including the one behind
-// NewIncremental. 0 (the default) selects GOMAXPROCS. The
+// BackendIncremental engine pools, including the one behind a
+// streaming Service. 0 (the default) selects GOMAXPROCS. The
 // simulated backend accepts it and ignores it: the PRAM simulator runs
 // every step on the calling goroutine and reports Stats.Workers = 1.
 func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }

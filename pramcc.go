@@ -64,7 +64,7 @@ type ForestResult struct {
 	Edges [][2]int
 	// Span is the forest as a columnar arc-pair span (mirror arcs, in
 	// EdgeIndices order) — directly ingestible by Service.IngestSpan,
-	// Incremental.AddSpan, or any other EdgeSpan consumer.
+	// Tenant.IngestSpan, or any other EdgeSpan consumer.
 	Span graph.EdgeSpan
 }
 
@@ -98,11 +98,10 @@ func countLabels(labels []int32) int {
 }
 
 // labelsInto copies src into dst, growing dst only when its capacity
-// is short, and returns the filled slice — the grow-or-reuse core
-// shared by the zero-alloc LabelsInto query methods of Incremental
-// and Service. src is an immutable published labeling, so a plain
-// copy after the caller's one atomic snapshot read is
-// snapshot-consistent.
+// is short, and returns the filled slice — the grow-or-reuse core of
+// the zero-alloc Service.LabelsInto. src is an immutable published
+// labeling, so a plain copy after the caller's one atomic snapshot
+// read is snapshot-consistent.
 //
 //pramcc:zeroalloc
 func labelsInto(dst, src []int32) []int32 {

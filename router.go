@@ -224,13 +224,11 @@ func (t *Tenant) IngestSpan(ctx context.Context, span graph.EdgeSpan) (component
 // range-checked as ints before the int32 conversion, exactly like
 // Service.Ingest.
 func (t *Tenant) Ingest(ctx context.Context, edges [][2]int) (components int, err error) {
-	n := t.t.N()
-	for i, e := range edges {
-		if e[0] < 0 || e[1] < 0 || e[0] >= n || e[1] >= n {
-			return 0, fmt.Errorf("pramcc: tenant %q: batch edge %d = {%d,%d} out of range [0,%d)", t.t.ID(), i, e[0], e[1], n)
-		}
+	span, err := pairsSpan(edges, t.t.N())
+	if err != nil {
+		return 0, fmt.Errorf("pramcc: tenant %q: %w", t.t.ID(), err)
 	}
-	return t.t.IngestSpan(ctx, graph.FromPairs(edges))
+	return t.t.IngestSpan(ctx, span)
 }
 
 // Grow extends the tenant's vertex set to n (no-op when n ≤ N),

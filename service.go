@@ -15,10 +15,11 @@ import (
 // that answers SameComponent/Labels/NumComponents queries lock-free
 // and concurrently — from an atomically published immutable snapshot —
 // while a recompute (Update) or a streaming batch (Ingest) is in
-// flight. It generalizes what the Incremental handle has always done
-// for the union-find backend to every registered backend: queries
-// never block on writers and never observe a half-built labeling; a
-// snapshot is replaced only by a complete successor.
+// flight, on every registered backend: queries never block on writers
+// and never observe a half-built labeling; a snapshot is replaced only
+// by a complete successor. With BackendIncremental it is also the
+// package's streaming handle: Ingest/IngestSpan union batches into a
+// live labeling without recomputing from scratch.
 //
 // Writers (Update, Ingest, Grow) serialize on an internal mutex. A
 // cancelled or failed Update/Ingest leaves the published snapshot
@@ -162,16 +163,25 @@ func (sv *Service) Update(ctx context.Context, g *graph.Graph) (*Result, error) 
 // that already live in a Graph or a loader span should call
 // IngestSpan and skip the conversion entirely.
 func (sv *Service) Ingest(ctx context.Context, edges [][2]int) (*Result, error) {
-	// Validate as ints before the int32 conversion narrows them: an
-	// endpoint beyond int32 must be rejected here, not truncated into
-	// an accidentally-valid vertex.
-	n := sv.N()
+	span, err := pairsSpan(edges, sv.N())
+	if err != nil {
+		return nil, fmt.Errorf("pramcc: %w", err)
+	}
+	return sv.IngestSpan(ctx, span)
+}
+
+// pairsSpan is the boxed-input boundary shared by Service.Ingest and
+// Tenant.Ingest: it range-checks every endpoint against [0, n) as an
+// int, before graph.FromPairs narrows it to int32 — an endpoint beyond
+// int32 must be rejected here, not truncated into an accidentally
+// valid vertex — and then converts the batch to a columnar span.
+func pairsSpan(edges [][2]int, n int) (graph.EdgeSpan, error) {
 	for i, e := range edges {
 		if e[0] < 0 || e[1] < 0 || e[0] >= n || e[1] >= n {
-			return nil, fmt.Errorf("pramcc: incremental: batch edge %d = {%d,%d} out of range [0,%d)", i, e[0], e[1], n)
+			return graph.EdgeSpan{}, fmt.Errorf("batch edge %d = {%d,%d} out of range [0,%d)", i, e[0], e[1], n)
 		}
 	}
-	return sv.IngestSpan(ctx, graph.FromPairs(edges))
+	return graph.FromPairs(edges), nil
 }
 
 // IngestSpan is the zero-copy form of Ingest: the batch arrives as a

@@ -67,8 +67,8 @@ func TestServiceIngest(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sv.Close()
-	for _, batch := range g.EdgeBatches(7) {
-		res, err := sv.Ingest(context.Background(), batch)
+	for _, batch := range g.SpanBatches(7) {
+		res, err := sv.Ingest(context.Background(), batch.Pairs())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,8 +183,8 @@ func TestServiceConcurrentQueriesDuringWrites(t *testing.T) {
 			}
 		}()
 	}
-	for _, batch := range g.EdgeBatches(20) {
-		if _, err := sv.Ingest(context.Background(), batch); err != nil {
+	for _, batch := range g.SpanBatches(20) {
+		if _, err := sv.Ingest(context.Background(), batch.Pairs()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -212,9 +212,9 @@ func TestServiceIngestAfterCancelledUpdate(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sv.Close()
-	batches := g.EdgeBatches(4)
+	batches := g.SpanBatches(4)
 	for _, b := range batches[:3] {
-		if _, err := sv.Ingest(context.Background(), b); err != nil {
+		if _, err := sv.Ingest(context.Background(), b.Pairs()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -232,7 +232,7 @@ func TestServiceIngestAfterCancelledUpdate(t *testing.T) {
 
 	// The next batch must extend the pre-Update labeling, not a wiped
 	// forest.
-	if _, err := sv.Ingest(context.Background(), batches[3]); err != nil {
+	if _, err := sv.Ingest(context.Background(), batches[3].Pairs()); err != nil {
 		t.Fatal(err)
 	}
 	if sv.N() != g.N {

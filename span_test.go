@@ -2,6 +2,7 @@ package pramcc
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"slices"
 	"sync"
@@ -13,8 +14,8 @@ import (
 
 // FuzzSpanPairEquivalence: for an arbitrary multigraph and an
 // arbitrary batch split, the three ways of reaching a labeling — the
-// columnar span replay (AddSpan), the boxed pair replay (AddEdges),
-// and a one-shot native solve — must agree exactly (all three
+// columnar span replay (Service.IngestSpan), the boxed pair replay
+// (Service.Ingest), and a one-shot native solve — must agree exactly (all three
 // canonicalize to component minima, so equality is elementwise, not
 // merely up-to-relabeling).
 func FuzzSpanPairEquivalence(f *testing.F) {
@@ -44,32 +45,24 @@ func FuzzSpanPairEquivalence(f *testing.F) {
 			lo = hi
 		}
 
-		spanInc, err := NewIncremental(g.N)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer spanInc.Close()
-		pairInc, err := NewIncremental(g.N)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer pairInc.Close()
-
+		spanSv := newStream(t, g.N)
+		pairSv := newStream(t, g.N)
+		ctx := context.Background()
 		span := g.Span()
 		edges := g.Edges()
 		lo := 0
 		for _, hi := range cuts {
-			if _, err := spanInc.AddSpan(span.Slice(lo, hi)); err != nil {
+			if _, err := spanSv.IngestSpan(ctx, span.Slice(lo, hi)); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := pairInc.AddEdges(edges[lo:hi]); err != nil {
+			if _, err := pairSv.Ingest(ctx, edges[lo:hi]); err != nil {
 				t.Fatal(err)
 			}
 			lo = hi
 		}
 
-		spanLabels := spanInc.LabelsInto(nil)
-		pairLabels := pairInc.Labels()
+		spanLabels := spanSv.LabelsInto(nil)
+		pairLabels := pairSv.Labels()
 		if !slices.Equal(spanLabels, nat.Labels) {
 			t.Fatalf("span labels differ from native: %v vs %v", spanLabels, nat.Labels)
 		}
@@ -88,11 +81,7 @@ func FuzzSpanPairEquivalence(f *testing.F) {
 // components only merge).
 func TestIncrementalSpanConcurrentReaders(t *testing.T) {
 	g := graph.Gnm(4000, 20000, 77)
-	inc, err := NewIncremental(g.N)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer inc.Close()
+	sv := newStream(t, g.N)
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -107,19 +96,19 @@ func TestIncrementalSpanConcurrentReaders(t *testing.T) {
 					return
 				default:
 				}
-				buf = inc.LabelsInto(buf)
+				buf = sv.LabelsInto(buf)
 				for v, l := range buf {
 					if int(l) > v {
 						t.Errorf("label[%d] = %d exceeds vertex id", v, l)
 						return
 					}
 				}
-				_ = inc.SameComponent((r+i)%g.N, g.N-1-r)
+				_ = sv.SameComponent((r+i)%g.N, g.N-1-r)
 			}
 		}(r)
 	}
 	for _, batch := range g.SpanBatches(50) {
-		if _, err := inc.AddSpan(batch); err != nil {
+		if _, err := sv.IngestSpan(context.Background(), batch); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -130,7 +119,7 @@ func TestIncrementalSpanConcurrentReaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(inc.Labels(), nat.Labels) {
+	if !slices.Equal(sv.Labels(), nat.Labels) {
 		t.Fatal("final span-replayed labels differ from native")
 	}
 }
@@ -216,105 +205,93 @@ func TestServiceIngestSpanErrors(t *testing.T) {
 	}
 }
 
-// TestServiceIngestRejectsOverflowingEndpoint pins the adapter's
-// truncation guard: an endpoint beyond int32 must be rejected as out
-// of range, never silently narrowed into an accidentally-valid
-// vertex (1<<32 truncates to 0).
+// TestServiceIngestRejectsOverflowingEndpoint pins the boxed
+// boundary's truncation guard on both Ingest entry points — Service
+// and router Tenant: an endpoint beyond int32 must be rejected as out
+// of range, never silently narrowed into an accidentally-valid vertex
+// (1<<32 truncates to 0).
 func TestServiceIngestRejectsOverflowingEndpoint(t *testing.T) {
-	sv, err := NewService(4, WithBackend(BackendIncremental))
+	ctx := context.Background()
+	overflow := [][2]int{{1 << 32, 1}}
+	sv := newStream(t, 4)
+	if _, err := sv.Ingest(ctx, overflow); err == nil {
+		t.Fatal("Service: endpoint 1<<32 accepted (silent int32 truncation)")
+	}
+	if sv.SameComponent(0, 1) {
+		t.Fatal("Service: truncated edge was applied")
+	}
+
+	r, err := NewRouter(RouterConfig{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sv.Close()
-	if _, err := sv.Ingest(context.Background(), [][2]int{{1 << 32, 1}}); err == nil {
-		t.Fatal("endpoint 1<<32 accepted (silent int32 truncation)")
+	defer r.Close()
+	tn, err := r.CreateTenant("overflow", 4)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if sv.SameComponent(0, 1) {
-		t.Fatal("truncated edge was applied")
+	if _, err := tn.Ingest(ctx, overflow); err == nil {
+		t.Fatal("Tenant: endpoint 1<<32 accepted (silent int32 truncation)")
+	}
+	if tn.SameComponent(0, 1) || tn.NumComponents() != 4 {
+		t.Fatal("Tenant: truncated edge was applied")
 	}
 }
 
-// TestIncrementalAddSpanStats: BatchStats bookkeeping on the span
-// path matches the pair path's, and AddSpan on a closed handle
-// errors.
+// TestIncrementalAddSpanStats: per-batch Stats on the span path —
+// backend, rounds = batches so far, component count equal to the
+// published snapshot's — and IngestSpan on a closed service errors.
 func TestIncrementalAddSpanStats(t *testing.T) {
 	g := graph.Gnm(500, 2000, 5)
-	inc, err := NewIncremental(g.N)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sv := newStream(t, g.N)
 	batches := g.SpanBatches(4)
-	var total int64
 	for i, b := range batches {
-		bs, err := inc.AddSpan(b)
+		res, err := sv.IngestSpan(context.Background(), b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		total += int64(b.Len())
-		if bs.Batch != i+1 || bs.Edges != b.Len() || bs.TotalEdges != total {
-			t.Fatalf("batch %d stats: %+v", i, bs)
+		if res.Stats.Backend != BackendIncremental || res.Stats.Rounds != i+1 || res.NumComponents != sv.NumComponents() {
+			t.Fatalf("batch %d: stats %+v, %d components (snapshot %d)", i, res.Stats, res.NumComponents, sv.NumComponents())
 		}
 	}
-	if inc.EdgeCount() != int64(g.NumEdges()) {
-		t.Fatalf("EdgeCount = %d, want %d", inc.EdgeCount(), g.NumEdges())
+	if err := check.Components(g, sv.Labels()); err != nil {
+		t.Fatal(err)
 	}
-	inc.Close()
-	if _, err := inc.AddSpan(batches[0]); err == nil {
-		t.Fatal("AddSpan on closed handle accepted")
+	sv.Close()
+	if _, err := sv.IngestSpan(context.Background(), batches[0]); !errors.Is(err, ErrSolverClosed) {
+		t.Fatalf("IngestSpan on closed service: %v, want ErrSolverClosed", err)
 	}
 }
 
-// TestLabelsInto: buffer reuse semantics on both handles — a big
-// enough buffer is reused in place, a short one is replaced, nil
-// allocates — and the steady state allocates nothing.
+// TestLabelsInto: buffer reuse semantics — a big enough buffer is
+// reused in place, a short one is replaced, nil allocates — and the
+// steady state allocates nothing.
 func TestLabelsInto(t *testing.T) {
 	g := graph.Gnm(1000, 3000, 9)
-	inc, err := NewIncremental(g.N)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer inc.Close()
-	if _, err := inc.AddSpan(g.Span()); err != nil {
+	sv := newStream(t, g.N)
+	if _, err := sv.IngestSpan(context.Background(), g.Span()); err != nil {
 		t.Fatal(err)
 	}
 
-	want := inc.Labels()
+	want := sv.Labels()
 	buf := make([]int32, 0, g.N)
-	got := inc.LabelsInto(buf)
+	got := sv.LabelsInto(buf)
 	if !slices.Equal(got, want) {
 		t.Fatal("LabelsInto differs from Labels")
 	}
 	if &got[0] != &buf[:1][0] {
 		t.Fatal("LabelsInto did not reuse a big-enough buffer")
 	}
-	if short := inc.LabelsInto(make([]int32, 1)); !slices.Equal(short, want) {
+	if short := sv.LabelsInto(make([]int32, 1)); !slices.Equal(short, want) {
 		t.Fatal("LabelsInto with a short buffer differs")
 	}
-	if fromNil := inc.LabelsInto(nil); !slices.Equal(fromNil, want) {
+	if fromNil := sv.LabelsInto(nil); !slices.Equal(fromNil, want) {
 		t.Fatal("LabelsInto(nil) differs")
 	}
 
 	if !raceEnabled {
-		if avg := testing.AllocsPerRun(10, func() { got = inc.LabelsInto(got) }); avg != 0 {
+		if avg := testing.AllocsPerRun(10, func() { got = sv.LabelsInto(got) }); avg != 0 {
 			t.Fatalf("steady-state LabelsInto allocates %.1f times, want 0", avg)
-		}
-	}
-
-	sv, err := NewService(g.N, WithBackend(BackendIncremental))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sv.Close()
-	if _, err := sv.IngestSpan(context.Background(), g.Span()); err != nil {
-		t.Fatal(err)
-	}
-	svBuf := sv.LabelsInto(nil)
-	if !slices.Equal(svBuf, sv.Labels()) {
-		t.Fatal("Service.LabelsInto differs from Service.Labels")
-	}
-	if !raceEnabled {
-		if avg := testing.AllocsPerRun(10, func() { svBuf = sv.LabelsInto(svBuf) }); avg != 0 {
-			t.Fatalf("steady-state Service.LabelsInto allocates %.1f times, want 0", avg)
 		}
 	}
 }
