@@ -3,7 +3,6 @@ package baseline
 import (
 	"math"
 	"sort"
-	"sync/atomic"
 
 	"repro/graph"
 	"repro/internal/pram"
@@ -117,8 +116,8 @@ func LeaderContraction(m *pram.Machine, g *graph.Graph) ParallelResult {
 }
 
 // addCombine realizes a sum-combining concurrent write (COMBINING
-// CRCW / MPC aggregation primitive) with an atomic add.
-func addCombine(cell *int64, v int64) { atomic.AddInt64(cell, v) }
+// CRCW / MPC aggregation primitive).
+func addCombine(cell *int64, v int64) { *cell += v }
 
 // dedupArcs removes duplicate and self-loop arcs in place.
 func dedupArcs(au, av []int32) ([]int32, []int32) {

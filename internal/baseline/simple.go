@@ -2,7 +2,6 @@ package baseline
 
 import (
 	"math/bits"
-	"sync/atomic"
 
 	"repro/graph"
 	"repro/internal/pram"
@@ -74,18 +73,12 @@ func LiuTarjanMinLink(m *pram.Machine, g *graph.Graph) ParallelResult {
 	return ParallelResult{Labels: p, Rounds: rounds, Stats: m.Stats()}
 }
 
-// minCombine atomically lowers *cell to v. It stands in for the
-// COMBINING-CRCW min write that [LT19] assume; the PRAM cost charged is
-// the single concurrent write of that model.
+// minCombine lowers *cell to v. It stands in for the COMBINING-CRCW
+// min write that [LT19] assume; the PRAM cost charged is the single
+// concurrent write of that model.
 func minCombine(cell *int64, v int64) {
-	for {
-		old := pram.Load64(cell)
-		if v >= old {
-			return
-		}
-		if atomic.CompareAndSwapInt64(cell, old, v) {
-			return
-		}
+	if v < *cell {
+		*cell = v
 	}
 }
 

@@ -12,8 +12,6 @@
 package compaction
 
 import (
-	"sync/atomic"
-
 	"repro/internal/hashing"
 	"repro/internal/pram"
 )
@@ -83,49 +81,27 @@ func Compact(m *pram.Machine, fam hashing.Family, distinguished []bool, plentifu
 		m.StepCost(cost, len(cur), func(i int) {
 			e := cur[i]
 			s := h.Slot(uint64(e), size)
-			atomic.CompareAndSwapInt32(&slots[s], -1, e)
+			if slots[s] == -1 {
+				slots[s] = e // first writer in processor order wins
+			}
 		})
 		// Read phase: winners record their index, losers retry. The
-		// collector uses a fresh backing slice: appending into the
-		// array being iterated would race with the reads of cur.
-		var mu nextCollector
+		// processors run in index order, so the losers can be packed
+		// into cur in place: the k-th loser lands in cur[k], which
+		// processor k, no later than the current one, has read.
+		next := cur[:0]
 		m.Step(len(cur), func(i int) {
 			e := cur[i]
 			s := h.Slot(uint64(e), size)
-			if atomic.LoadInt32(&slots[s]) == e {
-				atomic.StoreInt32(&res.Indices[e], int32(s))
+			if slots[s] == e {
+				res.Indices[e] = int32(s)
 			} else {
-				mu.add(e)
+				next = append(next, e)
 			}
 		})
-		pending = mu.snapshot()
+		pending = next
 		res.Rounds = round + 1
 		round++
 	}
 	return res
 }
-
-// nextCollector accumulates retry elements from concurrent processors.
-type nextCollector struct {
-	mu  spin
-	buf []int32
-}
-
-func (c *nextCollector) add(e int32) {
-	c.mu.lock()
-	c.buf = append(c.buf, e)
-	c.mu.unlock()
-}
-
-func (c *nextCollector) snapshot() []int32 {
-	return c.buf
-}
-
-// spin is a tiny spinlock; contention is bounded by the worker count.
-type spin struct{ v atomic.Int32 }
-
-func (s *spin) lock() {
-	for !s.v.CompareAndSwap(0, 1) {
-	}
-}
-func (s *spin) unlock() { s.v.Store(0) }

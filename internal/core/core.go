@@ -202,12 +202,13 @@ func newBudgetTable(b1 float64, growth, capf float64, n int) *budgetTable {
 		cur = 4
 	}
 	for {
-		v := int64(cur)
-		if v >= capV {
+		// Compare in float first: once cur passes 2⁶³, int64(cur) is
+		// undefined (MinInt64 on amd64) and would enter the ladder.
+		if cur >= float64(capV) || int64(cur) >= capV {
 			t.b = append(t.b, capV)
 			break
 		}
-		t.b = append(t.b, v)
+		t.b = append(t.b, int64(cur))
 		next := math.Pow(cur, growth)
 		if next <= cur+1 {
 			next = cur + 1

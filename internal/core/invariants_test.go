@@ -211,3 +211,26 @@ func TestBudgetTableProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestBudgetTableNoOverflow pins the TestBudgetTableProperty input
+// (gRaw, nRaw, b1Raw) = (0xb3, 0xb9aa, 0x13), i.e. γ = 1.94, n = 47532,
+// b₁ = 23. Its ladder steps from just under the cap to past 2⁶³, where
+// converting the float budget to int64 used to yield MinInt64 as the
+// level-5 budget instead of saturating at the cap.
+func TestBudgetTableNoOverflow(t *testing.T) {
+	bt := newBudgetTable(23, 1.94, 2, 47532)
+	prev := int64(0)
+	for l := int32(0); l < 200; l++ {
+		b := bt.at(l)
+		if b < prev || b > bt.cap {
+			t.Fatalf("b[%d] = %d after %d (cap %d); ladder %v", l, b, prev, bt.cap, bt.b)
+		}
+		prev = b
+	}
+	if prev != bt.cap {
+		t.Fatalf("ladder tops out at %d, want the cap %d", prev, bt.cap)
+	}
+	if got := tableSize(bt.cap); got < 2*47532 {
+		t.Fatalf("top table size %d does not cover n = 47532", got)
+	}
+}

@@ -13,8 +13,8 @@ import (
 // Each iteration is two PRAM sub-steps: a read phase that combines
 // (level, vertex) maxima per vertex — O(1) time on an ARBITRARY CRCW
 // PRAM via the per-level array trick of §3.3, realized here as a
-// packed atomic max — and a write phase that re-parents. Links always
-// target a strictly higher level, so Lemma 3.2's invariant
+// packed max (pram.MaxCombine64) — and a write phase that re-parents.
+// Links always target a strictly higher level, so Lemma 3.2's invariant
 // ℓ(v) < ℓ(v.p) for non-roots is maintained and no cycle can form.
 func (s *state) maxlink() {
 	m, n := s.m, s.n

@@ -43,10 +43,10 @@ func (d *Digraph) Root(v int32) int32 {
 }
 
 // Shortcut performs one parallel SHORTCUT: for each v, v.p := v.p.p.
-// It reads the old parents atomically and writes the new ones in the
-// same step, which is safe because v.p.p in the old digraph is well
-// defined and per-vertex writes are distinct. Returns the number of
-// parents that changed.
+// It reads the old parents from a snapshot and writes the new ones in
+// the same step, which is safe because v.p.p in the old digraph is
+// well defined and per-vertex writes are distinct. Returns 1 if some
+// parent changed, else 0.
 func (d *Digraph) Shortcut(m *pram.Machine) int {
 	n := len(d.Parent)
 	old := make([]int32, n)

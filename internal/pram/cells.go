@@ -1,47 +1,37 @@
 package pram
 
-import "sync/atomic"
-
 // Helpers for common-memory cells with ARBITRARY CRCW semantics. A
-// Machine runs the processors of a step in index order, so when several
-// write the same cell in one step the last writer in index order wins,
-// which is one legal arbitrary resolution, and a processor can read
-// writes made earlier in the same step. Cells that may be written in a
-// step are accessed through these helpers; cells only read in a step
-// may be accessed directly.
+// Machine runs the processors of a step in index order on one
+// goroutine, so when several write the same cell in one step the last
+// writer in index order wins, which is one legal arbitrary resolution,
+// and a processor can read writes made earlier in the same step.
+// Nothing runs concurrently, so the helpers are plain loads and stores;
+// they exist to mark the concurrent-write sites of the algorithms.
+// Cells that may be written in a step are accessed through them; cells
+// only read in a step may be accessed directly.
 
 // Store32 performs a concurrent write of v into cell (arbitrary wins).
-func Store32(cell *int32, v int32) { atomic.StoreInt32(cell, v) }
+func Store32(cell *int32, v int32) { *cell = v }
 
 // Load32 performs a concurrent read of a cell.
-func Load32(cell *int32) int32 { return atomic.LoadInt32(cell) }
+func Load32(cell *int32) int32 { return *cell }
 
 // Store64 performs a concurrent write of v into cell (arbitrary wins).
-func Store64(cell *int64, v int64) { atomic.StoreInt64(cell, v) }
+func Store64(cell *int64, v int64) { *cell = v }
 
 // Load64 performs a concurrent read of a cell.
-func Load64(cell *int64) int64 { return atomic.LoadInt64(cell) }
+func Load64(cell *int64) int64 { return *cell }
 
-// CAS32 performs a compare-and-swap on a cell. The PRAM model does not
-// have CAS; it is used only to implement primitives the paper proves
-// are O(1)-time on an ARBITRARY CRCW PRAM (see MaxCombine64).
-func CAS32(cell *int32, old, new int32) bool {
-	return atomic.CompareAndSwapInt32(cell, old, new)
-}
-
-// MaxCombine64 atomically raises *cell to v if v is larger. The paper's
-// MAXLINK needs "parent with maximum level among neighbours" in O(1)
-// PRAM time, which §3.3 implements with a per-vertex array of O(log n)
+// MaxCombine64 raises *cell to v if v is larger. The paper's MAXLINK
+// needs "parent with maximum level among neighbours" in O(1) PRAM
+// time, which §3.3 implements with a per-vertex array of O(log n)
 // level slots plus one processor per slot pair. We realize the same
 // reduction with a pack-max: callers pack (level << 32 | vertex) so a
-// single max yields the argmax vertex. The CAS loop is a host-machine
-// execution detail; the charged PRAM cost stays O(1) per the paper.
+// single max yields the argmax vertex. The charged PRAM cost stays
+// O(1) per the paper.
 func MaxCombine64(cell *int64, v int64) {
-	for {
-		old := atomic.LoadInt64(cell)
-		if v <= old || atomic.CompareAndSwapInt64(cell, old, v) {
-			return
-		}
+	if v > *cell {
+		*cell = v
 	}
 }
 

@@ -11,9 +11,12 @@
 // a legal ARBITRARY resolution; a processor can also read writes made
 // earlier in the same step. Because the schedule does not depend on
 // the host, a run's labels and model costs are a function of its input
-// and seed alone. The machine accounts simulated time (steps),
-// per-step processor usage, and total work, so experiments report
-// model costs rather than host wall clock.
+// and seed alone. Since nothing runs concurrently, common memory is
+// plain Go memory: the cell helpers (Store32, MaxCombine64, …) are
+// ordinary loads and stores that mark the model's concurrent-write
+// sites, and a step inlines to the host loop it describes. The machine
+// accounts simulated time (steps), per-step processor usage, and total
+// work, so experiments report model costs rather than host wall clock.
 package pram
 
 import "fmt"
@@ -35,7 +38,10 @@ func New(int) *Machine { return &Machine{} }
 
 // Step executes one PRAM time unit with procs processors: f(i) is
 // invoked exactly once for each i in [0, procs), in index order, before
-// Step returns. Charging: one time unit, procs work.
+// Step returns. Charging: one time unit, procs work. Step, StepCost and
+// StepN are small enough for the compiler to inline, so a step costs
+// what the equivalent host loop costs; scripts/check_inline.sh guards
+// that.
 func (m *Machine) Step(procs int, f func(i int)) {
 	m.StepCost(1, procs, f)
 }
@@ -45,7 +51,7 @@ func (m *Machine) Step(procs int, f func(i int)) {
 // approximate compaction's O(log* n)).
 func (m *Machine) StepCost(cost, procs int, f func(i int)) {
 	if cost < 0 || procs < 0 {
-		panic(fmt.Sprintf("pram: negative cost %d or procs %d", cost, procs))
+		panic(negativeStep{cost, procs})
 	}
 	m.charge(int64(cost), int64(procs))
 	for i := 0; i < procs; i++ {
@@ -72,6 +78,15 @@ func (m *Machine) charge(cost, procs int64) {
 	if procs > m.maxProcs {
 		m.maxProcs = procs
 	}
+}
+
+// negativeStep is the panic value of a step given a negative cost or
+// processor count. Its message is formatted out of line, in Error, so
+// that the steps raising it stay inlinable.
+type negativeStep struct{ cost, procs int }
+
+func (e negativeStep) Error() string {
+	return fmt.Sprintf("pram: negative cost %d or procs %d", e.cost, e.procs)
 }
 
 // ChargeSteps adds time units without running processors. Used when an

@@ -1,7 +1,6 @@
 package pram
 
 import (
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -50,8 +49,8 @@ func TestStepAccounting(t *testing.T) {
 
 func TestStepN(t *testing.T) {
 	m := New(4)
-	var count int64
-	m.StepN(1000, 37, func(int) { atomic.AddInt64(&count, 1) })
+	count := 0
+	m.StepN(1000, 37, func(int) { count++ })
 	if count != 37 {
 		t.Errorf("iterations = %d, want 37", count)
 	}
@@ -66,6 +65,31 @@ func TestZeroProcsStep(t *testing.T) {
 	m.Step(0, func(int) { t.Fatal("must not run") })
 	if m.Stats().Steps != 1 {
 		t.Error("zero-proc step still costs one time unit")
+	}
+}
+
+func TestNegativeStepPanics(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		step func(m *Machine)
+	}{
+		{"Step procs", func(m *Machine) { m.Step(-1, func(int) {}) }},
+		{"StepCost cost", func(m *Machine) { m.StepCost(-1, 1, func(int) {}) }},
+		{"StepCost procs", func(m *Machine) { m.StepCost(1, -1, func(int) {}) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m := New(0)
+			defer func() {
+				err, ok := recover().(error)
+				if !ok || err.Error() == "" {
+					t.Fatalf("recovered %v, want a non-empty error", err)
+				}
+				if s := m.Stats(); s != (Stats{}) {
+					t.Errorf("a rejected step was charged: %+v", s)
+				}
+			}()
+			c.step(m)
+		})
 	}
 }
 
