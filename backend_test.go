@@ -14,9 +14,22 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/check"
 	"repro/internal/incremental"
-	"repro/internal/native"
 	"repro/internal/pool"
 )
+
+// backendNames lists every backend name flags and JSON accept, the
+// deprecated "native" alias included, so the per-backend tests also
+// cover what the alias resolves to.
+var backendNames = []string{"simulated", "native", "incremental"}
+
+func mustParseBackend(t testing.TB, name string) Backend {
+	t.Helper()
+	bk, err := ParseBackend(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bk
+}
 
 // generatorZoo covers every generator family the graph package offers,
 // so backend equivalence is asserted on paths, trees, grids, tori,
@@ -50,19 +63,15 @@ func generatorZoo() map[string]*graph.Graph {
 	}
 }
 
-// TestBackendEquivalenceAcrossGenerators: the native and incremental
-// engines must induce exactly the partition of VanillaComponents and
-// of the sequential union-find oracle on every generator family, and
-// must agree with each other elementwise (both canonicalize labels to
-// component minima).
+// TestBackendEquivalenceAcrossGenerators: the fast backend must
+// induce exactly the partition of VanillaComponents (on the simulator)
+// and of the sequential union-find oracle on every generator family,
+// and must equal the minimum-id oracle elementwise (it canonicalizes
+// labels to component minima).
 func TestBackendEquivalenceAcrossGenerators(t *testing.T) {
 	for name, g := range generatorZoo() {
 		t.Run(name, func(t *testing.T) {
-			nat, err := Components(g, WithBackend(BackendNative))
-			if err != nil {
-				t.Fatal(err)
-			}
-			inc, err := Components(g, WithBackend(BackendIncremental))
+			fast, err := Components(g, WithBackend(BackendIncremental))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -70,31 +79,25 @@ func TestBackendEquivalenceAcrossGenerators(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := check.SamePartition(nat.Labels, van.Labels); err != nil {
-				t.Fatalf("native vs vanilla: %v", err)
-			}
-			if err := check.SamePartition(nat.Labels, baseline.Components(g)); err != nil {
-				t.Fatalf("native vs union-find: %v", err)
-			}
-			if err := check.SamePartition(inc.Labels, van.Labels); err != nil {
+			if err := check.SamePartition(fast.Labels, van.Labels); err != nil {
 				t.Fatalf("incremental vs vanilla: %v", err)
 			}
-			for v := range nat.Labels {
-				if inc.Labels[v] != nat.Labels[v] {
-					t.Fatalf("incremental label[%d] = %d, native %d", v, inc.Labels[v], nat.Labels[v])
-				}
+			if err := check.SamePartition(fast.Labels, baseline.Components(g)); err != nil {
+				t.Fatalf("incremental vs union-find: %v", err)
 			}
-			if nat.NumComponents != van.NumComponents || inc.NumComponents != van.NumComponents {
-				t.Fatalf("component counts differ: native %d, incremental %d, vanilla %d",
-					nat.NumComponents, inc.NumComponents, van.NumComponents)
+			if !slices.Equal(fast.Labels, baseline.MinComponents(g)) {
+				t.Fatal("incremental labels are not the minimum-id labeling")
+			}
+			if fast.NumComponents != van.NumComponents {
+				t.Fatalf("component counts differ: incremental %d, vanilla %d",
+					fast.NumComponents, van.NumComponents)
 			}
 		})
 	}
 }
 
-// TestBackendEquivalenceSimulated: the three Components backends on
-// the same graphs — the ISSUE-2 acceptance triangle, including the
-// (slow) simulator on a reduced zoo.
+// TestBackendEquivalenceSimulated: the Components backends on the same
+// graphs, including the (slow) simulator on a reduced zoo.
 func TestBackendEquivalenceSimulated(t *testing.T) {
 	names := []string{"path", "grid2d", "gnm", "clique-beads", "disjoint", "isolated"}
 	zoo := generatorZoo()
@@ -105,22 +108,20 @@ func TestBackendEquivalenceSimulated(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, bk := range []Backend{BackendNative, BackendIncremental} {
-				got, err := Components(g, WithBackend(bk))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := check.SamePartition(got.Labels, sim.Labels); err != nil {
-					t.Fatalf("%v vs simulated: %v", bk, err)
-				}
+			got, err := Components(g, WithBackend(BackendIncremental))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := check.SamePartition(got.Labels, sim.Labels); err != nil {
+				t.Fatalf("incremental vs simulated: %v", err)
 			}
 		})
 	}
 }
 
 // TestComponentsBackendDispatch: the default backend is the simulator
-// (with model costs populated); the native backend reports itself and
-// leaves the model-only fields zero.
+// (with model costs populated); the fast backend reports itself, one
+// round, and leaves the model-only fields zero.
 func TestComponentsBackendDispatch(t *testing.T) {
 	g := graph.Gnm(2000, 8000, 5)
 	sim, err := Components(g, WithSeed(2))
@@ -132,23 +133,6 @@ func TestComponentsBackendDispatch(t *testing.T) {
 	}
 	if sim.Stats.PRAMSteps == 0 || sim.Stats.Work == 0 {
 		t.Fatal("simulated run left model costs unpopulated")
-	}
-	nat, err := Components(g, WithBackend(BackendNative))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nat.Stats.Backend != BackendNative {
-		t.Fatalf("backend = %v, want native", nat.Stats.Backend)
-	}
-	if nat.Stats.PRAMSteps != 0 || nat.Stats.Work != 0 || nat.Stats.MaxProcessors != 0 ||
-		nat.Stats.PeakSpace != 0 || nat.Stats.CumBlockWords != 0 {
-		t.Fatalf("native run populated model-only fields: %+v", nat.Stats)
-	}
-	if nat.Stats.Rounds == 0 || nat.Stats.Workers == 0 || nat.Stats.Wall == 0 {
-		t.Fatalf("native run left real quantities unpopulated: %+v", nat.Stats)
-	}
-	if err := check.SamePartition(sim.Labels, nat.Labels); err != nil {
-		t.Fatal(err)
 	}
 	inc, err := Components(g, WithBackend(BackendIncremental))
 	if err != nil {
@@ -162,7 +146,7 @@ func TestComponentsBackendDispatch(t *testing.T) {
 		t.Fatalf("incremental run populated model-only fields: %+v", inc.Stats)
 	}
 	if inc.Stats.Rounds != 1 {
-		t.Fatalf("one-shot incremental run reports %d batches, want 1", inc.Stats.Rounds)
+		t.Fatalf("one-shot incremental run reports %d rounds, want 1", inc.Stats.Rounds)
 	}
 	if inc.Stats.Workers == 0 || inc.Stats.Wall == 0 {
 		t.Fatalf("incremental run left real quantities unpopulated: %+v", inc.Stats)
@@ -195,7 +179,9 @@ func TestParseBackend(t *testing.T) {
 			t.Fatalf("ParseBackend error %q does not list backend %q", err, name)
 		}
 	}
-	if BackendNative.String() != "native" || BackendSimulated.String() != "simulated" ||
+	// The deprecated alias is the fast backend itself, so it prints
+	// under the canonical name.
+	if BackendNative.String() != "incremental" || BackendSimulated.String() != "simulated" ||
 		BackendIncremental.String() != "incremental" {
 		t.Fatal("Backend.String mismatch")
 	}
@@ -234,13 +220,50 @@ func TestBackendTextMarshal(t *testing.T) {
 	}
 }
 
+// TestNativeAliasIsFastBackend: the deprecated "native" name —
+// through ParseBackend, JSON, and the BackendNative constant — selects
+// the fast backend, and a Service built that way streams: it ingests
+// and grows.
+func TestNativeAliasIsFastBackend(t *testing.T) {
+	parsed := mustParseBackend(t, "native")
+	var fromJSON Backend
+	if err := json.Unmarshal([]byte(`"native"`), &fromJSON); err != nil {
+		t.Fatal(err)
+	}
+	for _, bk := range []Backend{parsed, fromJSON, BackendNative} {
+		if bk != BackendIncremental {
+			t.Fatalf("native alias resolved to %v, want incremental", bk)
+		}
+	}
+	sv, err := NewService(4, WithBackend(BackendNative))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sv.Close()
+	if sv.Backend() != BackendIncremental {
+		t.Fatalf("Service backend = %v, want incremental", sv.Backend())
+	}
+	if _, err := sv.Ingest(context.Background(), [][2]int{{0, 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sv.Grow(6); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sv.Ingest(context.Background(), [][2]int{{1, 5}}); err != nil {
+		t.Fatal(err)
+	}
+	if !sv.SameComponent(0, 5) || sv.N() != 6 || sv.NumComponents() != 4 {
+		t.Fatalf("after ingest+grow: N=%d components=%d labels=%v", sv.N(), sv.NumComponents(), sv.Labels())
+	}
+}
+
 // TestBackendEquivalenceWorkersSweep: the partition must not depend on
 // the worker count, the one scheduler knob left. At 1, 2, 7 and 16
 // workers every backend solves one-shot through the public API, and the
 // incremental engine also replays the graph as three span batches;
 // every result must induce the sequential union-find partition, and
 // Stats must echo the worker count that ran: the pool size on the
-// native and incremental engines, 1 on the simulator (Components and
+// incremental engine, 1 on the simulator (Components and
 // SpanningForest alike), which ignores WithWorkers. Under -race this
 // doubles as the scheduler stress test.
 func TestBackendEquivalenceWorkersSweep(t *testing.T) {
@@ -289,10 +312,10 @@ func TestBackendEquivalenceWorkersSweep(t *testing.T) {
 	}
 }
 
-// unionFindSweeps labels the vertices of g with the two sweeps a native
-// solve runs — incremental.Union over edges, then an incremental.Find
-// flatten — applied to each span in turn, as the incremental engine
-// ingests and publishes batches. Each sweep is claimed through a
+// unionFindSweeps labels the vertices of g with the two sweeps a
+// one-shot Run performs — incremental.Union over edges, then an
+// incremental.Find flatten — applied to each span in turn, as the
+// engine ingests and publishes batches. Each sweep is claimed through a
 // pool.Shard under an explicit schedule: grain is the claim size
 // (≤ 0 adaptive); affinity gives each of the workers its sticky home
 // range, while without it every worker claims from one shared cursor;
@@ -349,16 +372,20 @@ func unionFindSweeps(t *testing.T, n int, spans []graph.EdgeSpan, workers, grain
 // grain, so the grain is pinned where it is still a parameter, the
 // pool.Shard behind every sharded sweep: degenerate (1), prime (7),
 // ceiling (4096) and adaptive (0) grains at 4 workers must all yield
-// exactly the minimum-id labeling, which is also what the native
-// engine returns.
+// exactly the minimum-id labeling, which is also what the engine's
+// one-shot Run returns.
 func TestBackendEquivalenceGrainSweep(t *testing.T) {
 	names := []string{"path", "binary-tree", "gnm", "clique-beads", "isolated"}
 	zoo := generatorZoo()
 	for _, name := range names {
 		g := zoo[name]
 		want := baseline.MinComponents(g)
-		if got := native.Components(g, 4).Labels; !slices.Equal(got, want) {
-			t.Fatalf("%s: native labels are not the minimum-id labeling", name)
+		res, err := Components(g, WithBackend(BackendIncremental), WithWorkers(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(res.Labels, want) {
+			t.Fatalf("%s: one-shot labels are not the minimum-id labeling", name)
 		}
 		for _, grain := range []int{1, 7, 4096, 0} {
 			t.Run(fmt.Sprintf("%s/grain=%d", name, grain), func(t *testing.T) {
@@ -374,9 +401,9 @@ func TestBackendEquivalenceGrainSweep(t *testing.T) {
 // TestEngineOptionMatrixEquivalence crosses the schedules the engines
 // never pick themselves — degenerate grain, one shared claim cursor
 // instead of sticky home ranges (noaff), and sweeping every arc
-// instead of one arc per edge (nopack) — over the union-find sweeps
-// both engines run: native as one whole-graph pass, incremental as
-// three span batches each followed by a flatten. Every cell must yield
+// instead of one arc per edge (nopack) — over the union-find sweeps the
+// engine runs: "native" is the one whole-graph pass of Run,
+// "incremental" three span batches each followed by a flatten. Every cell must yield
 // exactly the minimum-id labeling; under -race this doubles as the
 // scheduler stress test.
 func TestEngineOptionMatrixEquivalence(t *testing.T) {
@@ -408,8 +435,9 @@ func TestEngineOptionMatrixEquivalence(t *testing.T) {
 	}
 }
 
-// TestNativeConvergesUnderConcurrentSweeps exercises the native engine
-// repeatedly on the same long-lived instance over a graph large enough
+// TestNativeConvergesUnderConcurrentSweeps exercises the one-shot Run
+// (the former native engine) repeatedly on the same long-lived
+// instance over a graph large enough
 // that adaptive grain still issues 8 chunk claims per worker on the
 // edge sweep at 4 workers, so claims and steals race; meant to run
 // under -race.
@@ -420,7 +448,7 @@ func TestNativeConvergesUnderConcurrentSweeps(t *testing.T) {
 		t.Fatalf("graph has %d edges, want ≥ %d so every worker claims 8 chunks", m, workers*8*pool.MinGrain)
 	}
 	oracle := baseline.Components(g)
-	eng := native.NewEngine(workers)
+	eng := incremental.New(0, incremental.Options{Workers: workers})
 	defer eng.Close()
 	labels := make([]int32, g.N)
 	for i := 0; i < 8; i++ {
@@ -434,8 +462,9 @@ func TestNativeConvergesUnderConcurrentSweeps(t *testing.T) {
 }
 
 // FuzzBackendEquivalence: arbitrary multigraphs, worker counts, and
-// batch splits — native, one-shot incremental, batched incremental,
-// and union-find must always agree.
+// batch splits — the fast backend's one-shot solve, batched replay
+// through the boxed Service.Ingest boundary, the simulated backend and
+// the union-find oracles must always agree.
 func FuzzBackendEquivalence(f *testing.F) {
 	f.Add(uint16(10), uint16(20), int64(1), uint8(0), uint8(1))
 	f.Add(uint16(100), uint16(50), int64(2), uint8(1), uint8(3))
@@ -446,25 +475,24 @@ func FuzzBackendEquivalence(f *testing.F) {
 		m := int(mRaw % 1500)
 		g := graph.Gnm(n, m, gseed)
 		oracle := baseline.Components(g)
-		res, err := Components(g, WithBackend(BackendNative), WithWorkers(int(workersRaw%17)))
+		workers := int(workersRaw % 17)
+		res, err := Components(g, WithBackend(BackendIncremental), WithWorkers(workers))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := check.SamePartition(res.Labels, oracle); err != nil {
-			t.Fatal(err)
+		if !slices.Equal(res.Labels, baseline.MinComponents(g)) {
+			t.Fatal("one-shot labels are not the minimum-id labeling")
 		}
-		one, err := Components(g, WithBackend(BackendIncremental), WithWorkers(int(workersRaw%17)))
+		sim, err := Components(g, WithSeed(uint64(gseed)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for v := range res.Labels {
-			if one.Labels[v] != res.Labels[v] {
-				t.Fatalf("incremental label[%d] = %d, native %d", v, one.Labels[v], res.Labels[v])
-			}
+		if err := check.SamePartition(sim.Labels, oracle); err != nil {
+			t.Fatalf("simulated: %v", err)
 		}
 		// Batched replay through the boxed Service.Ingest boundary: the
 		// partition must not depend on the split.
-		sv, err := NewService(g.N, WithBackend(BackendIncremental), WithWorkers(int(workersRaw%17)))
+		sv, err := NewService(g.N, WithBackend(BackendIncremental), WithWorkers(workers))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,7 +2,9 @@ package pramcc_test
 
 // The multi-config CI bench gate (scripts/bench_gate.sh + cmd/benchgate)
 // runs exactly these benchmarks: {workers=1, workers=NumCPU} ×
-// {small, full-scale} on the two real engines, against the checked-in
+// {small, full-scale} on the fast backend's two paths — the one-shot
+// Solve (rows named "native", the backend's former name, so baseline
+// rows stay comparable) and span replay — against the checked-in
 // baselines under internal/bench/testdata/. One engine run per
 // iteration, so the script's -benchtime=1x -count N yields N clean
 // samples per configuration for the rank-sum test.
@@ -70,7 +72,7 @@ func BenchmarkGate(b *testing.B) {
 			g := graph.Gnm(sc.n, sc.m, 1)
 			for _, w := range gateWorkerAxis() {
 				b.Run(fmt.Sprintf("native/%s", w.label), func(b *testing.B) {
-					s, err := pramcc.NewSolver(pramcc.WithBackend(pramcc.BackendNative), pramcc.WithWorkers(w.n))
+					s, err := pramcc.NewSolver(pramcc.WithBackend(pramcc.BackendIncremental), pramcc.WithWorkers(w.n))
 					if err != nil {
 						b.Fatal(err)
 					}

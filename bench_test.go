@@ -98,7 +98,7 @@ func BenchmarkComponentsBackends(b *testing.B) {
 // BenchmarkSolverReuse is the steady-state of the long-lived API:
 // one Solver per backend, the same workload solved repeatedly. The
 // acceptance bar (enforced by TestSolverSolveZeroAllocNative) is zero
-// allocations per op on the native backend — labels, scratch, worker
+// allocations per op on the fast backend — labels, scratch, worker
 // pool, and the Result itself are all reused.
 func BenchmarkSolverReuse(b *testing.B) {
 	g := benchGraph()

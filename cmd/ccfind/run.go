@@ -26,7 +26,7 @@ func run(args []string, in io.Reader, out io.Writer) error {
 			" (the non-simulated engines are seedless and not -algo selectable)")
 	forest := fs.Bool("forest", false, "also compute a spanning forest (Thm 2)")
 	batches := fs.Int("batches", 0, "replay the edges in K batches through the streaming incremental backend, reporting per-batch latency (0 = one-shot run)")
-	workers := fs.Int("workers", 0, "worker goroutines for the native and incremental engines and for -batches (0 = GOMAXPROCS); simulated runs are sequential")
+	workers := fs.Int("workers", 0, "worker goroutines for the incremental engine, one-shot and -batches (0 = GOMAXPROCS); simulated runs are sequential")
 	seed := fs.Uint64("seed", 1, "random seed")
 	verbose := fs.Bool("v", false, "print per-vertex labels")
 	if err := fs.Parse(args); err != nil {

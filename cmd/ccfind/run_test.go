@@ -69,8 +69,8 @@ func TestRunFromFile(t *testing.T) {
 	}
 }
 
-// TestRunWorkersThreadedThroughOneShot: -workers sizes the native
-// engine's pool on a one-shot run, visible as workers=N in the summary
+// TestRunWorkersThreadedThroughOneShot: -workers sizes the fast
+// engine's pool on a one-shot run (selected by its "native" alias), visible as workers=N in the summary
 // line (Stats.Workers is the pool size the run actually used). The
 // simulated algorithms run on one goroutine and report workers=1
 // whatever -workers says.
@@ -82,7 +82,7 @@ func TestRunWorkersThreadedThroughOneShot(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "workers=3") {
-		t.Fatalf("-workers 3 not honored by native one-shot run: %s", out.String())
+		t.Fatalf("-workers 3 not honored by the fast one-shot run: %s", out.String())
 	}
 	for _, args := range [][]string{
 		{"-algo", "fast", "-workers", "3"},
@@ -205,7 +205,8 @@ func TestRunBackendFlag(t *testing.T) {
 	if err := run([]string{"-backend", "native", "-v"}, strings.NewReader(in), &out); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "backend=native") {
+	// "native" is an alias of the fast backend, reported by its name.
+	if !strings.Contains(out.String(), "backend=incremental") {
 		t.Fatalf("summary line missing backend: %s", out.String())
 	}
 	if len(strings.Split(strings.TrimSpace(out.String()), "\n")) != 1+g.N {
@@ -216,7 +217,7 @@ func TestRunBackendFlag(t *testing.T) {
 		{"-backend", "native", "-seed", "3"},
 		{"-backend", "inc", "-forest"},
 		{"-backend", "gpu"},
-		{"-batches", "2", "-backend", "native"},
+		{"-batches", "2", "-backend", "simulated"},
 	} {
 		if err := run(args, strings.NewReader("3 2\n0 1\n1 2\n"), &bytes.Buffer{}); err == nil {
 			t.Fatalf("%v accepted", args)

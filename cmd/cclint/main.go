@@ -11,7 +11,7 @@
 //
 //	go run ./cmd/cclint ./...
 //	go run ./cmd/cclint -run metricdoc ./...
-//	go run ./cmd/cclint -vet=false ./internal/native
+//	go run ./cmd/cclint -vet=false ./internal/incremental
 //
 // -run selects a comma-separated subset of analyzers. -vet (default
 // true when running the full suite) additionally shells out to

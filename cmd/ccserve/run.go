@@ -37,7 +37,7 @@ func run(args []string, out io.Writer) error {
 	var backend pramcc.Backend
 	fs.TextVar(&backend, "backend", pramcc.BackendIncremental,
 		"service backend: "+strings.Join(pramcc.BackendNames(), ", ")+
-			" (streaming ingest and grow need incremental)")
+			" (simulated is the only one without streaming ingest and grow)")
 	n := fs.Int("n", 0, "initial vertex count (ignored when -graph sets the vertex set)")
 	workers := fs.Int("workers", 0, "worker goroutines for solves and ingests (0 = GOMAXPROCS)")
 	graphPath := fs.String("graph", "", "preload a graph file (text edge list or binary) via Update before serving")
@@ -159,19 +159,11 @@ func notFound(w http.ResponseWriter, r *http.Request) {
 	httpError(w, http.StatusNotFound, "not found")
 }
 
-// newHandler builds the full ops surface over sv: health, metrics,
-// pprof, and the JSON serving endpoints.
-func newHandler(sv *pramcc.Service) http.Handler {
+// newOpsMux returns a mux carrying the routes both serving modes
+// share: the JSON catch-all 404, /metrics and the pprof profiles.
+func newOpsMux() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", counted(notFound))
-	mux.HandleFunc("/healthz", counted(func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{
-			"status":     "ok",
-			"backend":    sv.Backend().String(),
-			"n":          sv.N(),
-			"components": sv.NumComponents(),
-		})
-	}))
 	mux.HandleFunc("/metrics", counted(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		if err := pramcc.WriteMetrics(w); err != nil {
@@ -186,6 +178,21 @@ func newHandler(sv *pramcc.Service) http.Handler {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
+}
+
+// newHandler builds the full ops surface over sv: health, metrics,
+// pprof, and the JSON serving endpoints.
+func newHandler(sv *pramcc.Service) http.Handler {
+	mux := newOpsMux()
+	mux.HandleFunc("/healthz", counted(func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusOK, map[string]any{
+			"status":     "ok",
+			"backend":    sv.Backend().String(),
+			"n":          sv.N(),
+			"components": sv.NumComponents(),
+		})
+	}))
 	mux.HandleFunc("/v1/ingest", counted(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			httpError(w, http.StatusMethodNotAllowed, "POST only")
@@ -266,8 +273,7 @@ func newHandler(sv *pramcc.Service) http.Handler {
 // newRouterHandler builds the sharded-mode surface over rt: health,
 // metrics, pprof, tenant admin, and the per-tenant JSON endpoints.
 func newRouterHandler(rt *pramcc.Router) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/", counted(notFound))
+	mux := newOpsMux()
 	mux.HandleFunc("/healthz", counted(func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]any{
 			"status":  "ok",
@@ -275,17 +281,6 @@ func newRouterHandler(rt *pramcc.Router) http.Handler {
 			"tenants": len(rt.Tenants()),
 		})
 	}))
-	mux.HandleFunc("/metrics", counted(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := pramcc.WriteMetrics(w); err != nil {
-			mHTTPErrors.Inc()
-		}
-	}))
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.HandleFunc("/v1/admin/tenants", counted(func(w http.ResponseWriter, r *http.Request) {
 		switch r.Method {
 		case http.MethodPost:

@@ -55,8 +55,9 @@ func TestSolveFailsFastOnCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	g := mediumGraph()
-	for _, bk := range Backends() {
-		t.Run(bk.String(), func(t *testing.T) {
+	for _, name := range backendNames {
+		bk := mustParseBackend(t, name)
+		t.Run(name, func(t *testing.T) {
 			s, err := NewSolver(WithBackend(bk))
 			if err != nil {
 				t.Fatal(err)
@@ -87,8 +88,9 @@ func TestSolveFailsFastOnCancelledContext(t *testing.T) {
 // usable and correct afterwards.
 func TestSolveCancellationMidRun(t *testing.T) {
 	g := mediumGraph()
-	for _, bk := range Backends() {
-		t.Run(bk.String(), func(t *testing.T) {
+	for _, name := range backendNames {
+		bk := mustParseBackend(t, name)
+		t.Run(name, func(t *testing.T) {
 			s, err := NewSolver(WithBackend(bk), WithSeed(11))
 			if err != nil {
 				t.Fatal(err)
@@ -160,8 +162,9 @@ func TestSpanningForestCancellation(t *testing.T) {
 // snapshot, bit-for-bit.
 func TestServiceConsistentAcrossCancelledSolve(t *testing.T) {
 	g := mediumGraph()
-	for _, bk := range Backends() {
-		t.Run(bk.String(), func(t *testing.T) {
+	for _, name := range backendNames {
+		bk := mustParseBackend(t, name)
+		t.Run(name, func(t *testing.T) {
 			sv, err := NewService(0, WithBackend(bk), WithSeed(17))
 			if err != nil {
 				t.Fatal(err)

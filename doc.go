@@ -25,7 +25,7 @@
 // Solver instead: a long-lived handle that owns the execution engine —
 // the worker pool and the pre-sized scratch/label buffers — so
 // repeated Solve(ctx, g) calls amortize all allocation (zero
-// steady-state allocations on the native backend), honour
+// steady-state allocations on the fast backend), honour
 // context.Context cancellation and deadlines at every simulated round
 // and every claimed chunk of the engines' sweeps, and fail fast on
 // already-cancelled contexts. On top of the
@@ -46,9 +46,9 @@
 //	SpanningForest(g, opts...)      →  solver.SpanningForest(ctx, g)
 //	Components per query cycle      →  service.Update(ctx, g) + service.SameComponent(v, w)
 //
-// # Three execution backends
+// # Two execution backends
 //
-// The package has three interchangeable execution backends behind the
+// The package has two interchangeable execution backends behind the
 // Components entry point, each an implementation of the internal
 // engine interface in the backend registry; Backends and BackendNames
 // enumerate the registry, ParseBackend resolves names and aliases
@@ -59,19 +59,19 @@
 // algorithm-specific entry points above always use: every model step
 // is a barrier and every model cost is accounted, which is the point —
 // and which makes it orders of magnitude slower than the hardware.
-// BackendNative (internal/native) is a shared-memory engine — one
-// concurrent union-find pass over the label array, edge ranges
-// sharded over a reusable worker pool — that computes the identical
-// partition as fast as the hardware allows, labels each vertex by its
-// component's minimum id, and fills only the real Stats fields
-// (Backend, Wall, Workers, and Rounds = 1), leaving the model-only
-// ones zero. BackendIncremental (internal/incremental) is
-// a lock-free concurrent union-find (CAS link-by-index with path
-// splitting) built for streaming: under Components it ingests the
-// whole graph as one batch and returns the same partition as the
-// other two backends. Experiments E11 and E12 and the
+// BackendIncremental (internal/incremental) is the fast backend: a
+// lock-free concurrent union-find (CAS link-by-index with path
+// splitting) on a reusable worker pool. A one-shot solve is one union
+// sweep over the edges and one flatten over the vertices, straight
+// into the caller's label buffer: the identical partition as fast as
+// the hardware allows, each vertex labeled by its component's minimum
+// id, with only the real Stats fields filled (Backend, Wall, Workers,
+// and Rounds = 1) and the model-only ones zero. The same engine keeps
+// a live labeling for a streaming Service. The name "native" and the
+// deprecated BackendNative constant, from when the one-shot solve was
+// a separate engine, select it too. Experiments E11 and E12 and the
 // examples/nativespeed and examples/streaming programs compare the
-// backends side by side.
+// backends and paths side by side.
 //
 // # Streaming updates and the columnar data path
 //
@@ -115,9 +115,8 @@
 // SetEventSink attaches a process-wide EventSink (NewJSONEventSink
 // writes one JSON object per line) and turns on Event envelopes —
 // source/category/name/status/duration_ms/measures — emitted at
-// simulated round and incremental batch boundaries, on cancelled
-// native runs, and per Service Update/IngestSpan/
-// Grow call. With no sink attached (the default) no envelope is ever
+// simulated round and incremental batch boundaries, and per Service
+// Update/IngestSpan/Grow call. With no sink attached (the default) no envelope is ever
 // built, so the zero-allocation guarantees of the span-ingest and
 // solver paths hold unchanged. The cmd/ccserve binary serves
 // /metrics, /healthz, /debug/pprof, and JSON ingest/query endpoints
@@ -212,7 +211,7 @@
 // Graphs are built with the repro/graph package:
 //
 //	g := graph.Gnm(100_000, 400_000, 1)
-//	res, err := pramcc.Components(g, pramcc.WithBackend(pramcc.BackendNative))
+//	res, err := pramcc.Components(g, pramcc.WithBackend(pramcc.BackendIncremental))
 //	if err != nil { ... }
 //	fmt.Println(res.NumComponents, res.Stats.Wall)
 //

@@ -229,9 +229,6 @@ func TestOpenRejectsNonStreamingBackend(t *testing.T) {
 	if _, err := Open(t.TempDir(), WithBackend(BackendSimulated)); err == nil {
 		t.Fatal("Open with a non-streaming backend succeeded")
 	}
-	if _, err := Open(t.TempDir(), WithBackend(BackendNative)); err == nil {
-		t.Fatal("Open with a non-streaming backend succeeded")
-	}
 }
 
 // TestServiceCrashEveryWriteOffset is the service-level crash suite:

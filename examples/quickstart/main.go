@@ -3,7 +3,7 @@
 // O(log d + log log_{m/n} n) algorithm, then with the long-lived
 // Solver form that production callers should hold (it owns the worker
 // pool and buffers, honours context cancellation, and allocates
-// nothing in steady state on the native backend).
+// nothing in steady state on the fast backend).
 package main
 
 import (
@@ -43,12 +43,12 @@ func main() {
 	fmt.Printf("max level reached:     %d\n", res.Stats.MaxLevel)
 	fmt.Println()
 
-	// Long-lived: a Solver on the native backend. The engine is built
+	// Long-lived: a Solver on the fast backend. The engine is built
 	// once; every Solve after the first reuses its pool and buffers
 	// (zero allocations in steady state), and the context is honoured
 	// at every round boundary. The returned Result is valid until the
 	// next Solve on the same Solver.
-	solver, err := pramcc.NewSolver(pramcc.WithBackend(pramcc.BackendNative))
+	solver, err := pramcc.NewSolver(pramcc.WithBackend(pramcc.BackendIncremental))
 	if err != nil {
 		log.Fatal(err)
 	}

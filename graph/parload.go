@@ -16,7 +16,7 @@ import (
 // rejected, same edge order — but built for throughput: the whole
 // input is read into memory, split into byte chunks on line
 // boundaries, and the chunks are parsed concurrently on a worker pool
-// (internal/pool, the pool behind the native and incremental engines)
+// (internal/pool, the pool behind the incremental engine)
 // by a zero-allocation scanner that replaces the per-line
 // strings.Fields + strconv.Atoi hot path of the sequential loader.
 // workers <= 0 selects GOMAXPROCS.

@@ -31,7 +31,7 @@ import (
 // for analyzers that consult files next to the source (metricdoc reads
 // OPERATIONS.md at the module root).
 type Package struct {
-	// ImportPath is the canonical import path (e.g. repro/internal/native).
+	// ImportPath is the canonical import path (e.g. repro/internal/incremental).
 	ImportPath string
 	// Name is the package name from the package clauses.
 	Name string

@@ -64,9 +64,9 @@ func Components(g *graph.Graph) []int32 {
 }
 
 // MinComponents is Components with every label replaced by the minimum
-// vertex id of its component — the canonical labeling the native and
-// incremental engines both produce, so tests can compare them to it
-// elementwise.
+// vertex id of its component — the canonical labeling the incremental
+// engine produces on both its one-shot and streaming paths, so tests
+// can compare them to it elementwise.
 func MinComponents(g *graph.Graph) []int32 {
 	out := Components(g)
 	least := make([]int32, g.N)

@@ -20,7 +20,6 @@ import (
 	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/incremental"
-	"repro/internal/native"
 	"repro/internal/obs"
 	"repro/internal/pram"
 	"repro/internal/spanning"
@@ -57,8 +56,8 @@ func All() []Experiment {
 		{"E8", "spanning forest", E8},
 		{"E9", "baseline comparison", E9},
 		{"E10", "ablations", E10},
-		{"E11", "simulated vs native wall clock", E11},
-		{"E12", "incremental batch updates vs native recompute", E12},
+		{"E11", "simulated vs fast backend wall clock", E11},
+		{"E12", "incremental batch updates vs one-shot recompute", E12},
 		{"E13", "graph load throughput: text vs parallel text vs binary", E13},
 		{"E14", "streaming ingest throughput: columnar spans vs boxed pairs", E14},
 		{"E15", "observability overhead: sink off vs no-op sink vs JSON sink", E15},
@@ -508,7 +507,7 @@ func E10(scale Scale) *Table {
 // E11: the execution backends. Not a claim of the paper — the
 // engineering claim that keeps the repo honest: every registered
 // backend must produce the exact partition of the sequential
-// union-find oracle, with the native engine at a fraction of the
+// union-find oracle, with the fast engine at a fraction of the
 // simulator's wall clock. The backend list (and the table's columns)
 // comes from the pramcc backend registry, not a hard-coded slice, so
 // a newly registered backend shows up here — and in ccbench output —
@@ -520,11 +519,11 @@ func E11(scale Scale) *Table {
 	for _, name := range names {
 		header = append(header, name+" ms")
 	}
-	header = append(header, "unionfind ms", "sim/native speedup", "same partition")
+	header = append(header, "unionfind ms", "sim/incremental speedup", "same partition")
 	t := &Table{
 		ID:     "E11",
 		Title:  "execution backends wall clock",
-		Claim:  "every registered backend computes the union-find partition; BackendNative at a fraction of the simulator's wall clock",
+		Claim:  "every registered backend computes the union-find partition; BackendIncremental at a fraction of the simulator's wall clock",
 		Header: header,
 	}
 	type wl struct {
@@ -553,7 +552,7 @@ func E11(scale Scale) *Table {
 		ufD := time.Since(t0)
 		row := []interface{}{w.name, w.g.N, w.g.NumEdges()}
 		same := true
-		var simD, natD time.Duration
+		var simD, fastD time.Duration
 		for _, bk := range pramcc.Backends() {
 			res, err := pramcc.Components(w.g, pramcc.WithBackend(bk), pramcc.WithSeed(19))
 			if err != nil {
@@ -563,7 +562,7 @@ func E11(scale Scale) *Table {
 			}
 			// Stats.Wall times the run itself (validation and label
 			// counting excluded), the same quantity the old
-			// hand-rolled sim/native columns measured.
+			// hand-rolled per-engine columns measured.
 			row = append(row, ms(res.Stats.Wall))
 			if check.SamePartition(res.Labels, uf) != nil {
 				same = false
@@ -571,41 +570,40 @@ func E11(scale Scale) *Table {
 			switch bk {
 			case pramcc.BackendSimulated:
 				simD = res.Stats.Wall
-			case pramcc.BackendNative:
-				natD = res.Stats.Wall
+			case pramcc.BackendIncremental:
+				fastD = res.Stats.Wall
 			}
 		}
 		speedup := 0.0
-		if natD > 0 {
-			speedup = float64(simD) / float64(natD)
+		if fastD > 0 {
+			speedup = float64(simD) / float64(fastD)
 		}
 		row = append(row, ms(ufD), speedup, same)
 		t.Add(row...)
 	}
 	t.Notes = append(t.Notes,
-		"columns enumerate the pramcc backend registry (simulated = Theorem-3 EXPAND-MAXLINK on the step-barrier PRAM simulator; native = one-pass concurrent union-find; incremental = streaming union-find fed one batch)",
-		"unionfind = sequential single-core anchor; native and incremental run GOMAXPROCS workers, the simulator one; wall clock is host-dependent, track trends not absolutes")
+		"columns enumerate the pramcc backend registry (simulated = Theorem-3 EXPAND-MAXLINK on the step-barrier PRAM simulator; incremental = the fast backend's one-pass concurrent union-find, Engine.Run; \"native\" is a parse alias of it)",
+		"unionfind = sequential single-core anchor; incremental runs GOMAXPROCS workers, the simulator one; wall clock is host-dependent, track trends not absolutes")
 	return t
 }
 
 // E12: the streaming scenario. An append-heavy workload arrives in K
 // batches; a consumer who wants fresh component answers after every
-// batch can either recompute from scratch with the one-shot native
-// engine (cost ≈ K × full run) or maintain the labeling
-// with the incremental union-find engine (cost Θ(m) union work plus
-// K snapshot flattens of Θ(n) each — old edges are never rescanned).
-// The engineering claim: incremental total ingestion time is in the
-// ballpark of ONE native recompute, and beats recompute-per-batch by
-// roughly a factor of K. The final labels must equal the native
-// labels exactly, not just up to relabeling — both engines
-// canonicalize to component minima.
+// batch can either recompute from scratch with the engine's one-shot
+// Run (cost ≈ K × full run) or maintain the labeling with streaming
+// AddSpan batches (cost Θ(m) union work plus K snapshot flattens of
+// Θ(n) each — old edges are never rescanned). The engineering claim:
+// incremental total ingestion time is in the ballpark of ONE one-shot
+// recompute, and beats recompute-per-batch by roughly a factor of K.
+// The final labels must equal the one-shot labels exactly, not just up
+// to relabeling — both paths canonicalize to component minima.
 func E12(scale Scale) *Table {
 	t := &Table{
 		ID:    "E12",
-		Title: "incremental batch updates vs native recompute",
+		Title: "incremental batch updates vs one-shot recompute",
 		Claim: "maintaining components under K edge batches costs Θ(m + K·n) total (no rescan of old edges), vs ≈K full runs for recompute-per-batch",
 		Header: []string{"workload", "n", "m", "K", "incr total ms", "incr worst-batch ms",
-			"native 1-shot ms", "recompute ms", "speedup", "same labels"},
+			"1-shot ms", "recompute ms", "speedup", "same labels"},
 	}
 	type wl struct {
 		name string
@@ -651,14 +649,18 @@ func E12(scale Scale) *Table {
 		incrLabels := eng.Snapshot().Labels
 		eng.Close()
 
-		// Native one-shot on the full graph (the freshness floor a
+		// One-shot Run on the full graph (the freshness floor a
 		// non-streaming consumer pays once), and recompute-per-batch
 		// (what it pays to stay fresh after every batch): a full run
-		// on each growing prefix.
+		// on each growing prefix. A second engine keeps the one-shot
+		// pool off the streaming engine's timings.
+		one := incremental.New(0, incremental.Options{})
+		oneLabels := make([]int32, w.g.N)
 		t0 := time.Now()
-		nat := native.Components(w.g, 0)
+		one.Run(context.Background(), w.g, oneLabels)
 		oneShot := time.Since(t0)
 		prefix := graph.New(w.g.N)
+		prefixLabels := make([]int32, w.g.N)
 		var recompute time.Duration
 		for _, b := range batches {
 			for i := 0; i < b.Len(); i++ {
@@ -666,17 +668,18 @@ func E12(scale Scale) *Table {
 				prefix.AddEdge(int(u), int(v))
 			}
 			t0 = time.Now()
-			native.Components(prefix, 0)
+			one.Run(context.Background(), prefix, prefixLabels)
 			recompute += time.Since(t0)
 		}
+		one.Close()
 
-		same := slices.Equal(incrLabels, nat.Labels)
+		same := slices.Equal(incrLabels, oneLabels)
 		t.Add(w.name, w.g.N, w.g.NumEdges(), len(batches), ms(incrTotal), ms(incrWorst),
 			ms(oneShot), ms(recompute), float64(recompute)/float64(incrTotal), same)
 	}
 	t.Notes = append(t.Notes,
 		"incr = internal/incremental lock-free union-find, one zero-copy AddSpan per batch (the engine behind a BackendIncremental Service)",
-		"recompute = a full native run after every batch, the non-streaming way to keep answers fresh",
+		"1-shot = Engine.Run on the whole graph, the fast backend's Solve; recompute = a full Run after every batch, the non-streaming way to keep answers fresh",
 		"speedup = recompute / incr total; same labels = exact elementwise equality (both label by component minimum)")
 	return t
 }
@@ -684,7 +687,7 @@ func E12(scale Scale) *Table {
 // E13: ingestion. Production-scale serving starts with loading the
 // graph, and a single-threaded text scanner was the slowest stage of
 // the whole pipeline — at 10M+ edges, loading dominated end-to-end
-// wall clock over the native engine itself. The claim: the binary
+// wall clock over the fast engine itself. The claim: the binary
 // format (graph.ReadBinary) and the parallel zero-allocation text
 // loader (graph.ReadEdgeListParallel) both load the identical graph
 // ≥ 3× faster than the sequential text reference (graph.ReadEdgeList).
@@ -954,7 +957,7 @@ func E15(scale Scale) *Table {
 	}
 	t.Notes = append(t.Notes,
 		"each row: best of "+fmt.Sprint(trials)+" replays of the same graph through a fresh incremental engine (SpanBatches + AddSpan), trials interleaved across configs",
-		"counters (pramcc_uf_batches_total, pramcc_uf_edges_total, pool gauges) are active in every row — they cannot be turned off",
+		"the pool counters and gauges on this path (pramcc_pool_runs_total, pramcc_pool_busy_workers, ...) are active in every row — they cannot be turned off",
 		"events fire at batch boundaries: K envelopes per replay, so per-edge event cost is K/m ≈ 0",
 		"overhead % is relative to the sink-off row of the same run; small negatives are measurement noise")
 	return t

@@ -67,7 +67,7 @@ func (t *Table) FprintCSV(w io.Writer) error {
 // FprintJSON renders the table as one JSON object per line (JSONL when
 // several experiments share a stream). This is the machine-readable
 // artifact format: `ccbench -format json > BENCH_<date>.json` snapshots
-// e.g. the E11 simulated-vs-native wall-clock table for tracking
+// e.g. the E11 simulated-vs-incremental wall-clock table for tracking
 // across commits.
 func (t *Table) FprintJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)

@@ -1,7 +1,7 @@
 // Package bench is the experiment harness behind cmd/ccbench and
 // bench_test.go. Each experiment E1–E10 reproduces one claim of the
-// paper, and E11–E13 check the repo's own engineering claims (native
-// wall clock, incremental batch updates, graph load throughput); the
+// paper, and E11–E13 check the repo's own engineering claims (fast
+// backend wall clock, incremental batch updates, graph load throughput); the
 // per-experiment index with interpreted results lives in
 // EXPERIMENTS.md, whose tables are rendered by this package.
 package bench

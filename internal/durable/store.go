@@ -42,8 +42,11 @@ import (
 	"repro/internal/obs"
 )
 
-// Durability metrics, process-wide across stores (ccserve, the
-// intended operator surface, runs exactly one).
+// Durability metrics, process-wide across stores: the counters
+// aggregate, and the gauges describe whichever store wrote last. Under
+// ccserve -shards N -data every tenant has its own store, so
+// pramcc_durable_seq and pramcc_durable_snapshot_seq follow the tenant
+// that logged or checkpointed most recently.
 var (
 	mWALAppends = obs.Default.Counter("pramcc_wal_appends_total",
 		"batch records appended (and fsynced) to the ingest write-ahead log")

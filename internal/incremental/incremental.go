@@ -1,7 +1,8 @@
-// Package incremental is the streaming execution backend: a concurrent
-// union-find engine that maintains a live component labeling while
-// edges arrive in batches, so component queries stay fresh without
-// recomputing from scratch on every update.
+// Package incremental is the fast execution backend: a concurrent
+// union-find engine that either solves a whole graph one-shot into a
+// caller's buffer (Run) or maintains a live component labeling while
+// edges arrive in batches (AddSpan), so component queries stay fresh
+// without recomputing from scratch on every update.
 //
 // The data structure is a lock-free disjoint-set forest (Jayanti–
 // Tarjan style): parents are updated only with compare-and-swap,
@@ -19,29 +20,32 @@
 //  3. parent[x] always names a vertex of x's component, so no CAS can
 //     merge components that share no edge.
 //
-// Batches are ingested by sharding the edge range over the
-// locality-aware grain-claim scheduler in internal/pool (contiguous
-// chunks claimed off per-worker range cursors, with stealing after a
-// worker's sticky home range is exhausted). After the pool barrier at
-// the end of each
-// batch, every component ingested so far is a single tree whose root
-// is the minimum vertex id of the component — the same canonical
-// labeling the one-shot native engine produces — and the engine
-// flattens the forest into a fresh labels slice published via an
-// atomic pointer. A batch therefore costs Θ(batch) near-constant-time
-// unions plus a Θ(n) flatten-and-publish pass: the per-update price of
-// snapshot-consistent O(1) queries. What streaming saves over
-// recompute-per-batch is the repeated multi-round Θ(n + m) scans of
-// the whole edge set, not the per-vertex pass. Queries (SameComponent, ComponentCount, Snapshot)
-// read whichever snapshot is currently published, so they are safe to
-// call concurrently with an in-flight AddSpan and always observe a
-// consistent batch boundary, never a half-ingested batch. AddSpan
-// itself must be called from one goroutine at a time.
+// Every sweep is sharded over the locality-aware grain-claim scheduler
+// in internal/pool (contiguous chunks claimed off per-worker range
+// cursors, with stealing after a worker's sticky home range is
+// exhausted), and one union chunk body serves both paths. After the
+// pool barrier at the end of a union sweep, every component is a
+// single tree whose root is the minimum vertex id of the component,
+// whatever the diameter, so a flatten sweep yields the canonical
+// minimum-id labeling.
 //
-// Every ingest — a span batch or a whole graph — runs through one
-// loop, ingestSpan, over the columnar graph.EdgeSpan arcs. Boxed
-// [][2]int edges are converted with graph.FromPairs at the public
-// boundary (pramcc's Service.Ingest) before they reach the engine.
+// Run is the one-shot solve: the caller's buffer starts as the
+// identity and is itself the forest, one union sweep links every edge,
+// and one flatten sweep stores each vertex's root into its own slot.
+// It never touches the live forest or the published snapshot.
+//
+// The streaming path unions each batch into the engine's own forest
+// and flattens it into a fresh labels slice published via an atomic
+// pointer. A batch therefore costs Θ(batch) near-constant-time unions
+// plus a Θ(n) flatten-and-publish pass: the per-update price of
+// snapshot-consistent O(1) queries. What streaming saves over
+// recompute-per-batch is the union work over the whole edge set, not
+// the per-vertex pass. Queries (SameComponent, ComponentCount,
+// Snapshot) read whichever snapshot is currently published, so they
+// are safe to call concurrently with an in-flight AddSpan and always
+// observe a consistent batch boundary, never a half-ingested batch.
+// Writers — AddSpan, AddGraph, Grow, Reset, RestoreLabels and Run —
+// must be called from one goroutine at a time.
 package incremental
 
 import (
@@ -56,17 +60,6 @@ import (
 	"repro/internal/pool"
 )
 
-// Union-find ingest metrics, process-wide across engines. The adds sit
-// inside the sharded-ingest path — the region TestSpanIngestZeroAlloc
-// pins at zero allocations — which is exactly why they are plain
-// atomic counters and the event envelope is gated on an attached sink.
-var (
-	mBatches = obs.Default.Counter("pramcc_uf_batches_total",
-		"edge batches absorbed by the streaming union-find")
-	mEdges = obs.Default.Counter("pramcc_uf_edges_total",
-		"edges unioned into the streaming union-find")
-)
-
 // Options configures an engine.
 type Options struct {
 	// Workers is the goroutine count of the batch pool; 0 selects
@@ -77,8 +70,8 @@ type Options struct {
 // Snapshot is a consistent view of the labeling as of a batch
 // boundary. Labels is shared and must not be modified.
 type Snapshot struct {
-	// Labels assigns every vertex its component representative (the
-	// minimum vertex id of the component, as in the native engine).
+	// Labels assigns every vertex its component representative: the
+	// minimum vertex id of the component.
 	Labels []int32
 	// Components is the number of distinct labels.
 	Components int
@@ -89,9 +82,10 @@ type Snapshot struct {
 	Edges int64
 }
 
-// Engine is a concurrent union-find maintaining connected components
-// under streaming edge batches. Queries may run concurrently with one
-// AddGraph/AddSpan call; ingestion itself is single-writer.
+// Engine is a concurrent union-find computing connected components
+// one-shot (Run) or maintaining them under streaming edge batches.
+// Queries may run concurrently with one writer call; the writers
+// themselves are single-goroutine.
 type Engine struct {
 	n      int
 	parent []int32 // CAS-only disjoint-set forest, parent[x] <= x
@@ -101,15 +95,19 @@ type Engine struct {
 	batches int
 	edges   int64
 
-	// Span-ingest state, written by the single writer between pool
-	// barriers only. The chunk bodies are bound once at construction
-	// so a steady-state span batch allocates nothing on the ingest
-	// path (the native.Engine discipline): spanChunk unions the
-	// columns of [spanU, spanV], pubChunk flattens the forest into
-	// pubLabels. The claim cursors live in the scheduler.
-	spanU, spanV []int32
-	spanCtx      context.Context
-	spanChunk    func(worker, lo, hi int) bool
+	// Sweep state, written by the single writer between pool barriers
+	// only. The chunk bodies are bound once at construction so neither
+	// a steady-state batch nor a Run allocates: unionChunk links the
+	// even arcs of [sweepU, sweepV] in forest — the live parent forest
+	// on ingest, the caller's buffer on Run — flattenChunk stores each
+	// vertex's root of forest into its own slot (Run), and pubChunk
+	// flattens parent into pubLabels (publish). The claim cursors live
+	// in the scheduler.
+	sweepCtx       context.Context
+	sweepU, sweepV []int32
+	forest         []int32
+	unionChunk     func(worker, lo, hi int) bool
+	flattenChunk   func(worker, lo, hi int) bool
 
 	pubLabels []int32
 	pubRoots  atomic.Int64
@@ -124,7 +122,8 @@ func New(n int, opt Options) *Engine {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	e := &Engine{pool: pool.New(workers)}
-	e.spanChunk = e.spanChunkBody
+	e.unionChunk = e.unionChunkBody
+	e.flattenChunk = e.flattenChunkBody
 	e.pubChunk = e.pubChunkBody
 	e.Reset(n)
 	return e
@@ -241,27 +240,56 @@ func (e *Engine) Batches() int { return e.snap.Load().Batches }
 // EdgesIngested returns the total edge count across all batches.
 func (e *Engine) EdgesIngested() int64 { return e.snap.Load().Edges }
 
-// AddGraph ingests every edge of g as one batch. g must have the same
-// vertex count the engine was created with; its edges are in range by
-// the graph package's own construction-time validation.
+// AddGraph ingests every edge of g as one batch and publishes it. g
+// must have the engine's vertex count; its edges are in range by the
+// graph package's own construction-time validation, so the batch rides
+// the span path without a validation pass.
 func (e *Engine) AddGraph(g *graph.Graph) *Snapshot {
-	s, _ := e.AddGraphContext(context.Background(), g)
-	return s
-}
-
-// AddGraphContext is AddGraph with the cancellation semantics of
-// AddSpanContext. It rides the columnar span path: the graph's arc
-// columns are sharded over the pool directly, with no per-edge
-// accessor indirection and no validation pass (the graph's own
-// construction already guarantees its endpoints).
-func (e *Engine) AddGraphContext(ctx context.Context, g *graph.Graph) (*Snapshot, error) {
 	if g.N != e.n {
 		panic("incremental: graph vertex count mismatch")
 	}
-	if err := e.ingestSpan(ctx, g.Span()); err != nil {
-		return nil, err
+	_ = e.ingestSpan(context.Background(), g.Span()) // never cancelled
+	return e.publish(int64(g.NumEdges()))
+}
+
+// Run computes the connected components of g one-shot into labels,
+// which must have length g.N; on return labels[v] is the minimum
+// vertex id of v's component. The buffer starts as the identity and
+// is itself the forest: one union sweep over the edges, then one
+// flatten sweep over the vertices. Run returns the number of rounds
+// run: 1 for the one union-find pass, or 0 when g has no edges.
+//
+// Run never touches the live forest or the published snapshot, so it
+// may be interleaved with streaming ingest on the same engine (from
+// the one writer goroutine). ctx is checked once per claimed chunk of
+// either sweep: when it is cancelled or past its deadline, Run returns
+// ctx.Err() within one chunk per worker, and labels holds a partial
+// labeling the caller must discard.
+//
+//pramcc:zeroalloc
+func (e *Engine) Run(ctx context.Context, g *graph.Graph, labels []int32) (int, error) {
+	if len(labels) != g.N {
+		panic("incremental: label buffer length does not match g.N")
 	}
-	return e.publish(int64(g.NumEdges())), nil
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	for i := range labels {
+		labels[i] = int32(i)
+	}
+	if g.NumEdges() == 0 {
+		return 0, ctx.Err()
+	}
+	e.sweepCtx, e.forest, e.sweepU, e.sweepV = ctx, labels, g.U, g.V
+	e.pool.Sharded(g.NumEdges(), 0, e.unionChunk)
+	if ctx.Err() == nil {
+		e.pool.Sharded(g.N, 0, e.flattenChunk)
+	}
+	e.sweepCtx, e.forest, e.sweepU, e.sweepV = nil, nil, nil, nil
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
+	return 1, nil
 }
 
 // AddSpan ingests one batch given as a columnar arc-pair span and
@@ -315,8 +343,9 @@ func (e *Engine) validateSpan(span graph.EdgeSpan) error {
 }
 
 // ingestSpan shards the span's edge range over the scheduler through
-// the pre-bound spanChunk, so a steady-state batch performs zero
-// allocations between validation and publish. Writer-only.
+// the pre-bound unionChunk into the live forest, so a steady-state
+// batch performs zero allocations between validation and publish.
+// Writer-only.
 //
 //pramcc:zeroalloc
 func (e *Engine) ingestSpan(ctx context.Context, span graph.EdgeSpan) error {
@@ -335,10 +364,9 @@ func (e *Engine) ingestSpan(ctx context.Context, span graph.EdgeSpan) error {
 	if emit {
 		start = time.Now()
 	}
-	e.spanU, e.spanV = span.U, span.V
-	e.spanCtx = ctx
-	e.pool.Sharded(span.Len(), 0, e.spanChunk)
-	e.spanU, e.spanV, e.spanCtx = nil, nil, nil
+	e.sweepCtx, e.forest, e.sweepU, e.sweepV = ctx, e.parent, span.U, span.V
+	e.pool.Sharded(span.Len(), 0, e.unionChunk)
+	e.sweepCtx, e.forest, e.sweepU, e.sweepV = nil, nil, nil, nil
 	if err := ctx.Err(); err != nil {
 		e.noteIngestErr(err)
 		return err
@@ -347,16 +375,13 @@ func (e *Engine) ingestSpan(ctx context.Context, span graph.EdgeSpan) error {
 	return nil
 }
 
-// noteIngest records a completed batch on the union-find metrics and,
-// when a sink is attached, emits the batch-boundary event. Counter
-// adds are atomic and allocation-free; the envelope (with its measures
-// map) is built only under an attached sink — this function runs
-// inside the region TestSpanIngestZeroAlloc holds at zero allocations.
+// noteIngest emits the batch-boundary event when a sink is attached.
+// The envelope (with its measures map) is built only then — this
+// function runs inside the region TestSpanIngestZeroAlloc holds at
+// zero allocations.
 //
 //pramcc:zeroalloc
 func (e *Engine) noteIngest(edges int, d time.Duration) {
-	mBatches.Inc()
-	mEdges.Add(int64(edges))
 	if obs.Enabled() {
 		obs.Emit(obs.Event{Source: "incremental", Category: "engine",
 			Name: "batch", Status: obs.StatusOK,
@@ -365,8 +390,8 @@ func (e *Engine) noteIngest(edges int, d time.Duration) {
 	}
 }
 
-// noteIngestErr emits the cancelled-batch event; the batch is not
-// counted (nothing was published).
+// noteIngestErr emits the cancelled-batch event (nothing was
+// published).
 //
 //pramcc:zeroalloc
 func (e *Engine) noteIngestErr(err error) {
@@ -391,20 +416,39 @@ func elapsedIf(enabled bool, start time.Time) time.Duration {
 	return time.Since(start)
 }
 
-// spanChunkBody unions the even arcs of one claimed edge chunk
-// straight out of the span columns. The ctx check per chunk is the
+// unionChunkBody links the two roots of every even arc of one claimed
+// edge chunk in forest, straight out of the sweep columns: arcs come in
+// mirror pairs, so arc 2i covers edge i. It is the one union body of
+// both the streaming ingest and Run. The ctx check per chunk is the
 // cancellation contract: returning false stops this worker's claim
 // loop, and the other workers observe the same ctx on their own next
 // chunk.
 //
 //pramcc:zeroalloc
-func (e *Engine) spanChunkBody(_, lo, hi int) bool {
-	if e.spanCtx.Err() != nil {
+func (e *Engine) unionChunkBody(_, lo, hi int) bool {
+	if e.sweepCtx.Err() != nil {
 		return false
 	}
-	u, v := e.spanU, e.spanV
+	u, v, forest := e.sweepU, e.sweepV, e.forest
 	for i := lo; i < hi; i++ {
-		Union(e.parent, u[2*i], v[2*i])
+		Union(forest, u[2*i], v[2*i])
+	}
+	return true
+}
+
+// flattenChunkBody stores the root of every vertex in [lo, hi) into
+// its own slot of forest — Run's flatten, in place. It runs after the
+// union sweep's barrier, so roots are final: concurrent finds only
+// shorten paths.
+//
+//pramcc:zeroalloc
+func (e *Engine) flattenChunkBody(_, lo, hi int) bool {
+	if e.sweepCtx.Err() != nil {
+		return false
+	}
+	forest := e.forest
+	for v := lo; v < hi; v++ {
+		atomic.StoreInt32(&forest[v], Find(forest, int32(v)))
 	}
 	return true
 }
@@ -459,8 +503,7 @@ func (e *Engine) pubChunkBody(_, lo, hi int) bool {
 // grandparent. A failed CAS means a racing find already improved the
 // pointer; either way progress is monotone because parents strictly
 // decrease along every path. Safe to call concurrently with Union and
-// other Finds on the same forest; the native engine's one-shot solve
-// runs on these same two primitives.
+// other Finds on the same forest.
 //
 //pramcc:zeroalloc
 func Find(parent []int32, x int32) int32 {

@@ -10,10 +10,6 @@ import (
 	"repro/internal/check"
 )
 
-// Zoo exposes zoo to the external test package, which compares this
-// engine against the native one (native imports this package).
-var Zoo = zoo
-
 // zoo is a compact generator spread: every structural family the
 // engine could plausibly mishandle (deep paths, stars, dense cliques,
 // multigraphs, isolated vertices, multiple components).

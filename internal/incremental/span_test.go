@@ -133,10 +133,9 @@ func TestAddSpanContextCancelled(t *testing.T) {
 // allocations. Only snapshot publication (the labels slice and the
 // Snapshot struct, measured separately) allocates per batch.
 //
-// ingestSpan also carries the observability instrumentation (batch and
-// edge counters, plus the sink-gated batch event), so this test doubly
-// pins the no-sink-is-free contract: the counters must advance inside
-// the measured region while the region still allocates nothing.
+// ingestSpan also carries the sink-gated batch event, so this test
+// doubly pins the no-sink-is-free contract: with no sink attached the
+// region allocates nothing.
 func TestSpanIngestZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not exact under the race detector")
@@ -151,9 +150,7 @@ func TestSpanIngestZeroAlloc(t *testing.T) {
 	if _, err := e.AddSpanContext(ctx, span); err != nil {
 		t.Fatal(err)
 	}
-	const runs = 10
-	batchesBefore, edgesBefore := mBatches.Value(), mEdges.Value()
-	if avg := testing.AllocsPerRun(runs, func() {
+	if avg := testing.AllocsPerRun(10, func() {
 		if err := e.validateSpan(span); err != nil {
 			t.Fatal(err)
 		}
@@ -162,14 +159,6 @@ func TestSpanIngestZeroAlloc(t *testing.T) {
 		}
 	}); avg != 0 {
 		t.Fatalf("span replay layer allocates %.1f times per batch, want 0", avg)
-	}
-	// AllocsPerRun executes runs+1 iterations (one warmup). Other tests
-	// may ingest concurrently with -parallel, hence >= not ==.
-	if d := mBatches.Value() - batchesBefore; d < runs+1 {
-		t.Errorf("pramcc_uf_batches_total advanced by %d inside the zero-alloc region, want >= %d", d, runs+1)
-	}
-	if d := mEdges.Value() - edgesBefore; d < int64(runs+1)*int64(span.Len()) {
-		t.Errorf("pramcc_uf_edges_total advanced by %d inside the zero-alloc region, want >= %d", d, int64(runs+1)*int64(span.Len()))
 	}
 }
 

@@ -16,8 +16,8 @@ type ArcStore struct {
 
 // NewArcStore copies the arc columns of span; Orig[i] = i. Taking the
 // columnar view (rather than a *graph.Graph) keeps the simulator
-// layers on the same uniform data path as the native and incremental
-// engines: any SoA arc source — a Graph's Span(), a loader span, a
+// layers on the same uniform data path as the incremental engine: any
+// SoA arc source — a Graph's Span(), a loader span, a
 // replay batch — seeds the store without boxing into pairs first.
 func NewArcStore(span graph.EdgeSpan) *ArcStore {
 	a := &ArcStore{

@@ -31,8 +31,8 @@ import (
 // fixed so that any consumer (a log pipeline, jq, the E15 overhead
 // experiment) can rely on the same six fields from every source.
 type Event struct {
-	// Source is the emitting subsystem: "native", "simulated",
-	// "incremental", "service", "ccserve".
+	// Source is the emitting subsystem: "simulated", "incremental",
+	// "service", "ccserve".
 	Source string `json:"source"`
 	// Category groups events within a source: "engine" for
 	// round/batch boundaries, "serve" for public API calls, "http"

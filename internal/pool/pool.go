@@ -1,6 +1,6 @@
 // Package pool provides the reusable fixed-size worker pool shared by
-// every parallel engine in the module: the native one-shot engine, the
-// incremental streaming engine, and the parallel graph loader. It lives
+// every parallel engine in the module: the incremental union-find
+// engine (one-shot and streaming) and the parallel graph loader. It lives
 // below all of them (and below package graph) so that none of those
 // packages need to import each other for a goroutine pool.
 package pool

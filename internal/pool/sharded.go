@@ -1,6 +1,6 @@
 // Sharded work scheduling: the grain-claim loop that used to be
-// copy-pasted into every parallel engine (native sweep, incremental
-// span union and publish flatten, the parallel loader's chunk fan-out)
+// copy-pasted into every parallel engine (the incremental engine's
+// union, flatten and publish sweeps, the parallel loader's chunk fan-out)
 // now lives here, with two upgrades the copies never had:
 //
 //   - Adaptive grain sizing. The old engines hard-coded grain = 4096.

@@ -24,8 +24,8 @@ type State struct {
 }
 
 // NewState initializes the self-labeled digraph and arc store for n
-// vertices and the columnar arc span — the same SoA view the native
-// and incremental engines ingest, so simulator callers pass g.Span()
+// vertices and the columnar arc span — the same SoA view the
+// incremental engine ingests, so simulator callers pass g.Span()
 // (or any loader/replay span) without boxing.
 func NewState(n int, span graph.EdgeSpan, seed uint64) *State {
 	return &State{

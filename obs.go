@@ -49,7 +49,9 @@ func MetricNames() []string { return obs.Default.Names() }
 // the engine- and pool-level metrics registered by the internal
 // packages. Process-wide: with several Services in one process the
 // counters aggregate and the snapshot gauges describe the most recent
-// publisher — ccserve, the intended operator surface, runs exactly one.
+// publisher. Under ccserve -shards N every tenant is a Service, so the
+// snapshot gauges describe whichever tenant published last, not any
+// one tenant.
 var (
 	mIngestSpans = obs.Default.Counter("pramcc_ingest_spans_total",
 		"span batches accepted by Service.IngestSpan (Ingest rides the same path)")

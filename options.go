@@ -14,27 +14,31 @@ const (
 	// is a barrier, and full model-cost statistics are accounted
 	// (steps, work, processors, space). This is the backend the
 	// paper's bounds are checked on; wall-clock speed is not a goal.
+	// It has no live labeling, so a Service on it supports Update but
+	// not streaming ingest or Grow.
 	BackendSimulated Backend = iota
-	// BackendNative runs on the shared-memory engine
-	// (internal/native): goroutines running one concurrent union-find
-	// pass over the label array, no step barriers and no per-step
-	// accounting. Same partition, labeled by component minimum, real
-	// wall-clock speed; Stats.Rounds is 1 and all model-cost Stats
-	// fields are zero.
-	BackendNative
-	// BackendIncremental runs on the streaming union-find engine
-	// (internal/incremental): a lock-free CAS-linked disjoint-set
-	// forest built for batched edge arrival. Components feeds the
-	// whole graph as a single batch and returns the same partition as
-	// the other backends; the engine's real strength is streaming
-	// ingest through a Service, where each batch costs Θ(batch) union
-	// work plus a Θ(n) snapshot flatten instead of a full multi-round
-	// recompute over all edges. Model-only Stats fields are zero.
+	// BackendIncremental is the fast backend: the concurrent
+	// union-find engine of internal/incremental, a lock-free
+	// CAS-linked disjoint-set forest on a goroutine pool, with no step
+	// barriers and no per-step accounting. A one-shot solve
+	// (Components, Solver.Solve, Service.Update) is one union sweep
+	// and one flatten into the caller's buffer: the same partition as
+	// the simulator, labeled by component minimum, at real wall-clock
+	// speed, with Stats.Rounds 1 (0 on an edgeless graph) and every
+	// model-only Stats field zero. Through a Service it also ingests
+	// streaming batches, each costing Θ(batch) union work plus a Θ(n)
+	// snapshot flatten instead of a full recompute over all edges.
 	BackendIncremental
 )
 
+// BackendNative is the former name of the one-shot fast engine, now
+// an alias: it parses from "native" and selects BackendIncremental.
+//
+// Deprecated: use BackendIncremental.
+const BackendNative = BackendIncremental
+
 // String returns the backend's registered name ("simulated",
-// "native", "incremental", …).
+// "incremental").
 func (b Backend) String() string {
 	if info, ok := lookupBackend(b); ok {
 		return info.name
@@ -44,9 +48,9 @@ func (b Backend) String() string {
 
 // ParseBackend maps a flag value to a Backend. Matching is
 // case-insensitive against the registry's canonical names and aliases
-// ("sim" for simulated, "inc" for incremental); the empty string
-// selects the default BackendSimulated. The error of an unknown name
-// lists the actually registered backends.
+// ("sim" for simulated; "inc" and "native" for incremental); the empty
+// string selects the default BackendSimulated. The error of an unknown
+// name lists the actually registered backends.
 func ParseBackend(s string) (Backend, error) {
 	t := strings.ToLower(strings.TrimSpace(s))
 	if t == "" {
@@ -141,11 +145,11 @@ func WithInitialVertices(n int) Option { return func(c *config) { c.initialVerti
 // stats (rounds, PRAM steps, work, processors, space) on any host.
 func WithSeed(seed uint64) Option { return func(c *config) { c.seed = seed } }
 
-// WithWorkers sets the worker-goroutine count of the BackendNative and
-// BackendIncremental engine pools, including the one behind a
-// streaming Service. 0 (the default) selects GOMAXPROCS. The
-// simulated backend accepts it and ignores it: the PRAM simulator runs
-// every step on the calling goroutine and reports Stats.Workers = 1.
+// WithWorkers sets the worker-goroutine count of the BackendIncremental
+// engine pool, including the one behind a streaming Service. 0 (the
+// default) selects GOMAXPROCS. The simulated backend accepts it and
+// ignores it: the PRAM simulator runs every step on the calling
+// goroutine and reports Stats.Workers = 1.
 func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
 
 // WithMaxRounds caps the main loop of ConnectedComponents (EXPAND-

@@ -16,17 +16,17 @@ import (
 // real quantities, measured on the host and meaningful for every
 // backend, and model-only quantities, counted in simulated-PRAM units
 // (steps, processors, common-memory words — never wall clock) and
-// populated only by BackendSimulated. BackendNative does no per-step
-// accounting, so on a native run every model-only field is zero.
+// populated only by BackendSimulated. BackendIncremental does no
+// per-step accounting, so on a fast run every model-only field is zero.
 type Stats struct {
 	// ---- real quantities (all backends) ----
 
 	Backend Backend       // engine that produced the result
 	Wall    time.Duration // wall clock of the run itself — result assembly (label counting) is excluded
 	Workers int           // host goroutine count that executed the run (1 on the simulator)
-	Rounds  int           // main-loop rounds: EXPAND-MAXLINK rounds or phases (simulated); 1 for native's one union-find pass (0 on an edgeless graph); batches (incremental)
+	Rounds  int           // main-loop rounds: EXPAND-MAXLINK rounds or phases (simulated); 1 for the fast backend's one-shot union-find pass (0 on an edgeless graph); batches since the last Update or restore (a streaming Service's ingest)
 
-	// ---- model-only quantities (BackendSimulated; zero on native) ----
+	// ---- model-only quantities (BackendSimulated; zero on incremental) ----
 
 	PRAMSteps     int64 // simulated constant-time PRAM steps
 	Work          int64 // Σ steps × processors
@@ -79,8 +79,9 @@ func validate(g *graph.Graph) error {
 // labels a component by one of its vertices, so labels live in
 // [0, len(labels)) and one indexed pass over a flat seen-array counts
 // them in O(n) — the map that used to live here cost more than a whole
-// native run on large graphs. The map fallback only exists so a future
-// backend with out-of-range labels degrades instead of panicking.
+// fast one-shot run on large graphs. The map fallback only exists so a
+// future backend with out-of-range labels degrades instead of
+// panicking.
 func countLabels(labels []int32) int {
 	n := len(labels)
 	seen := make([]bool, n)
@@ -148,10 +149,9 @@ func apply(opts []Option) config {
 // Components computes the connected components of g on the backend
 // selected with WithBackend: the model-cost PRAM simulation (default;
 // equivalent to ConnectedComponents, the paper's Theorem-3 algorithm),
-// the native shared-memory engine, or the streaming union-find engine
-// fed the whole graph as one batch. All three compute the same
-// partition; the non-simulated backends leave every model-only Stats
-// field zero. This is the recommended entry point when the goal is the
+// or the fast union-find engine's one-shot pass. Both compute the same
+// partition; the fast backend leaves every model-only Stats field
+// zero. This is the recommended entry point when the goal is the
 // answer rather than a specific theorem's cost profile.
 //
 // Components is a compatibility wrapper over a process-shared Solver

@@ -8,7 +8,6 @@ import (
 	"repro/graph"
 	"repro/internal/core"
 	"repro/internal/incremental"
-	"repro/internal/native"
 	"repro/internal/pram"
 )
 
@@ -17,7 +16,7 @@ import (
 // capacity) and overwritten, stats is fully rewritten except Wall,
 // which the Solver measures around the engine call. Keeping the buffer
 // on the caller side is what lets a long-lived Solver reach zero
-// steady-state allocations on the native backend.
+// steady-state allocations on the fast backend.
 type solveOutput struct {
 	labels []int32
 	stats  Stats
@@ -31,8 +30,8 @@ func (out *solveOutput) setLabels(src []int32) {
 // engine is the execution-backend interface behind Solver: one
 // implementation per registered Backend, each adapting one of the
 // internal engine packages (internal/core via the PRAM simulator,
-// internal/native, internal/incremental). solve computes the component
-// labeling of g into out, honouring ctx at round/batch boundaries; a
+// internal/incremental). solve computes the component labeling of g
+// into out, honouring ctx at round/batch boundaries; a
 // cancelled solve returns ctx.Err() and leaves no partial result
 // visible to callers. close releases any long-lived resources (worker
 // pools); it is idempotent.
@@ -48,9 +47,9 @@ type streamEngine interface {
 	engine
 	// reset re-initialises the live labeling over n isolated vertices.
 	reset(n int)
-	// restore re-initialises the live labeling to a previously
-	// published canonical labeling — the recovery path after a
-	// cancelled destructive rebuild (see Service.Update).
+	// restore re-initialises the live labeling to a canonical
+	// labeling: how Service.Update installs a rebuilt labeling, and
+	// how a persisted Service rolls back a batch that failed to log.
 	restore(labels []int32)
 	// grow extends the vertex set to n, preserving components.
 	grow(n int)
@@ -89,16 +88,10 @@ var registry = []backendInfo{
 		},
 	},
 	{
-		backend: BackendNative,
-		name:    "native",
-		newEngine: func(c *config) engine {
-			return &nativeEngine{eng: native.NewEngine(c.workers)}
-		},
-	},
-	{
 		backend: BackendIncremental,
 		name:    "incremental",
-		aliases: []string{"inc"},
+		// "native" named the one-shot engine that Run absorbed.
+		aliases: []string{"inc", "native"},
 		newEngine: func(c *config) engine {
 			return &incrementalEngine{eng: incremental.New(0, incremental.Options{Workers: c.workers})}
 		},
@@ -192,17 +185,19 @@ func (e *simulatedEngine) solve(ctx context.Context, g *graph.Graph, c *config, 
 
 func (e *simulatedEngine) close() {}
 
-// ---- native: the shared-memory one-pass union-find engine ----
+// ---- incremental: the fast union-find engine ----
 
-// nativeEngine wraps a long-lived native.Engine: the worker pool and
-// the engine's pre-bound sweep closures live across solves, and the
-// labels are computed directly into out.labels, so repeated solves on
-// same-sized graphs allocate nothing.
-type nativeEngine struct {
-	eng *native.Engine
+// incrementalEngine wraps a long-lived incremental.Engine. A one-shot
+// solve runs the engine's Run straight into out.labels — no reset, no
+// publish, and the live labeling is left as it was — so repeated
+// solves on same-sized graphs allocate nothing. Service additionally
+// uses the streamEngine surface to ingest batches into the live
+// labeling.
+type incrementalEngine struct {
+	eng *incremental.Engine
 }
 
-func (e *nativeEngine) solve(ctx context.Context, g *graph.Graph, c *config, out *solveOutput) error {
+func (e *incrementalEngine) solve(ctx context.Context, g *graph.Graph, c *config, out *solveOutput) error {
 	if cap(out.labels) >= g.N {
 		out.labels = out.labels[:g.N]
 	} else {
@@ -213,40 +208,9 @@ func (e *nativeEngine) solve(ctx context.Context, g *graph.Graph, c *config, out
 		return err
 	}
 	out.stats = Stats{
-		Backend: BackendNative,
-		Workers: e.eng.Workers(),
-		Rounds:  rounds,
-	}
-	return nil
-}
-
-func (e *nativeEngine) close() { e.eng.Close() }
-
-// ---- incremental: the streaming union-find engine ----
-
-// incrementalEngine wraps a long-lived incremental.Engine. A one-shot
-// solve resets the forest (reusing its parent buffer and worker pool)
-// and ingests the whole graph as a single batch; Service additionally
-// uses the streamEngine surface to ingest batches into the live
-// labeling.
-type incrementalEngine struct {
-	eng *incremental.Engine
-}
-
-func (e *incrementalEngine) solve(ctx context.Context, g *graph.Graph, c *config, out *solveOutput) error {
-	e.eng.Reset(g.N)
-	snap, err := e.eng.AddGraphContext(ctx, g)
-	if err != nil {
-		return err
-	}
-	// Published snapshot labels are immutable, so they are shared
-	// into the output rather than copied (the engine allocates a
-	// fresh slice per publish anyway).
-	out.labels = snap.Labels
-	out.stats = Stats{
 		Backend: BackendIncremental,
 		Workers: e.eng.Workers(),
-		Rounds:  snap.Batches, // one batch for a one-shot run
+		Rounds:  rounds,
 	}
 	return nil
 }
@@ -264,9 +228,9 @@ func (e *incrementalEngine) ingest(ctx context.Context, span graph.EdgeSpan, out
 	if err != nil {
 		return 0, err
 	}
-	// As in solve: published snapshot labels are immutable and fresh
-	// per batch, so sharing them avoids a redundant Θ(n) copy on the
-	// per-batch hot path.
+	// Published snapshot labels are immutable and fresh per batch, so
+	// sharing them avoids a redundant Θ(n) copy on the per-batch hot
+	// path.
 	out.labels = snap.Labels
 	out.stats = Stats{
 		Backend: BackendIncremental,

@@ -19,14 +19,14 @@ func TestNewResultWallExcludesCounting(t *testing.T) {
 		labels[i] = int32(i)
 	}
 	const wall = 123 * time.Microsecond
-	res := newResult(wall, labels, Stats{Backend: BackendNative, Workers: 4})
+	res := newResult(wall, labels, Stats{Backend: BackendIncremental, Workers: 4})
 	if res.Stats.Wall != wall {
 		t.Fatalf("Stats.Wall = %v, want the injected %v: counting leaked into the measurement", res.Stats.Wall, wall)
 	}
 	if res.NumComponents != len(labels) {
 		t.Fatalf("NumComponents = %d, want %d", res.NumComponents, len(labels))
 	}
-	if res.Stats.Backend != BackendNative || res.Stats.Workers != 4 {
+	if res.Stats.Backend != BackendIncremental || res.Stats.Workers != 4 {
 		t.Fatalf("stats not preserved: %+v", res.Stats)
 	}
 }
@@ -64,7 +64,7 @@ func TestCountLabelsMatchesReference(t *testing.T) {
 // measurement on every backend after the reordering.
 func TestComponentsWallIsPositive(t *testing.T) {
 	g := graph.Gnm(2000, 8000, 1)
-	for _, b := range []Backend{BackendSimulated, BackendNative, BackendIncremental} {
+	for _, b := range Backends() {
 		res, err := Components(g, WithBackend(b))
 		if err != nil {
 			t.Fatalf("%v: %v", b, err)

@@ -93,18 +93,18 @@ func (sv *Service) Update(ctx context.Context, g *graph.Graph) (*Result, error) 
 	}
 	start := time.Now()
 	res, err := sv.solver.Solve(ctx, g)
+	if err == nil && sv.store != nil {
+		// A full rebuild replaces the labeling wholesale, so it must be
+		// checkpointed before it publishes — there is no batch record
+		// that could reproduce it on replay. It consumes a sequence
+		// number of its own (Seq+1) so recovery never replays a
+		// pre-rebuild WAL record on top of the rebuilt snapshot.
+		err = sv.store.Checkpoint(res.Labels, sv.store.Seq()+1)
+	}
 	if err != nil {
-		// A streaming engine rebuilds destructively (reset + ingest),
-		// so a cancelled or failed solve has wiped its live labeling.
-		// Snap it back to the published snapshot: queries never saw
-		// the failure, and the next Ingest must continue from what
-		// they see, not from a half-built forest. On a persisted
-		// service the store is untouched here — nothing was logged for
-		// the failed rebuild, so the WAL position still matches the
-		// published snapshot and replay cannot double-apply.
-		if st, ok := sv.solver.eng.(streamEngine); ok {
-			st.restore(sv.snap.Load().Labels)
-		}
+		// A one-shot solve leaves a streaming engine's live forest
+		// untouched, and nothing was logged, so the published snapshot,
+		// the forest and the WAL position all still agree.
 		mUpdateErrors.Inc()
 		if obsEnabled() {
 			emitService("update", statusOf(err), time.Since(start),
@@ -117,23 +117,9 @@ func (sv *Service) Update(ctx context.Context, g *graph.Graph) (*Result, error) 
 		NumComponents: res.NumComponents,
 		Stats:         res.Stats,
 	}
-	if sv.store != nil {
-		// A full rebuild replaces the labeling wholesale, so it must be
-		// checkpointed before it publishes — there is no batch record
-		// that could reproduce it on replay. It consumes a sequence
-		// number of its own (Seq+1) so recovery never replays a
-		// pre-rebuild WAL record on top of the rebuilt snapshot.
-		if err := sv.store.Checkpoint(pub.Labels, sv.store.Seq()+1); err != nil {
-			if st, ok := sv.solver.eng.(streamEngine); ok {
-				st.restore(sv.snap.Load().Labels)
-			}
-			mUpdateErrors.Inc()
-			if obsEnabled() {
-				emitService("update", statusOf(err), time.Since(start),
-					map[string]float64{"n": float64(g.N), "edges": float64(g.NumEdges())})
-			}
-			return nil, err
-		}
+	if st, ok := sv.solver.eng.(streamEngine); ok {
+		// The next Ingest continues from the rebuilt labeling.
+		st.restore(pub.Labels)
 	}
 	sv.publish(pub)
 	mUpdates.Inc()

@@ -16,8 +16,9 @@ import (
 func TestServiceUpdateAllBackends(t *testing.T) {
 	g1 := graph.Gnm(2000, 6000, 3)
 	g2 := graph.Path(1500)
-	for _, bk := range Backends() {
-		t.Run(bk.String(), func(t *testing.T) {
+	for _, name := range backendNames {
+		bk := mustParseBackend(t, name)
+		t.Run(name, func(t *testing.T) {
 			sv, err := NewService(10, WithBackend(bk), WithSeed(7))
 			if err != nil {
 				t.Fatal(err)
@@ -104,19 +105,19 @@ func TestServiceIngest(t *testing.T) {
 		t.Fatal("rejected ingest changed the snapshot")
 	}
 
-	// Native backend: Ingest and Grow are typed errors, Update works.
-	nat, err := NewService(4, WithBackend(BackendNative))
+	// Simulated backend: Ingest and Grow are typed errors, Update works.
+	sim, err := NewService(4, WithBackend(BackendSimulated))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer nat.Close()
-	if _, err := nat.Ingest(context.Background(), [][2]int{{0, 1}}); err == nil {
-		t.Fatal("native Ingest succeeded")
+	defer sim.Close()
+	if _, err := sim.Ingest(context.Background(), [][2]int{{0, 1}}); err == nil {
+		t.Fatal("simulated Ingest succeeded")
 	}
-	if err := nat.Grow(10); err == nil {
-		t.Fatal("native Grow succeeded")
+	if err := sim.Grow(10); err == nil {
+		t.Fatal("simulated Grow succeeded")
 	}
-	if _, err := nat.Update(context.Background(), graph.Path(64)); err != nil {
+	if _, err := sim.Update(context.Background(), graph.Path(64)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -252,7 +253,7 @@ func TestServiceIngestAfterCancelledUpdate(t *testing.T) {
 // the last snapshot.
 func TestServiceClosed(t *testing.T) {
 	g := graph.Path(100)
-	sv, err := NewService(0, WithBackend(BackendNative))
+	sv, err := NewService(0, WithBackend(BackendIncremental))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,15 +19,14 @@ var ErrSolverClosed = errors.New("pramcc: solver is closed")
 // Solver is the long-lived form of the one-shot entry points: a handle
 // that owns its execution engine — the worker pool and the pre-sized
 // scratch and label buffers — so that repeated solves amortize every
-// allocation and engine construction across calls. On the native
+// allocation and engine construction across calls. On the fast
 // backend a steady-state Solve on same-sized graphs allocates nothing
 // at all (see BenchmarkSolverReuse).
 //
 // The configuration (backend, workers, seed, algorithm parameters) is
 // fixed at NewSolver time. Solve honours its context at every round
-// (simulated) or claimed chunk of a sweep (native, incremental): a
-// cancelled or expired context makes Solve return ctx.Err() promptly,
-// with no
+// (simulated) or claimed chunk of a sweep (incremental): a cancelled or
+// expired context makes Solve return ctx.Err() promptly, with no
 // partial result; an already-cancelled context fails fast before any
 // work.
 //

@@ -21,8 +21,9 @@ func TestSolverAllBackends(t *testing.T) {
 		graph.Gnm(5000, 2000, 9), // bigger n: buffers must regrow
 		graph.Gnm(300, 900, 11),  // smaller n: buffers must shrink logically
 	}
-	for _, bk := range Backends() {
-		t.Run(bk.String(), func(t *testing.T) {
+	for _, name := range backendNames {
+		bk := mustParseBackend(t, name)
+		t.Run(name, func(t *testing.T) {
 			s, err := NewSolver(WithBackend(bk), WithSeed(3))
 			if err != nil {
 				t.Fatal(err)
@@ -58,7 +59,7 @@ func TestSolverAllBackends(t *testing.T) {
 // same Solver (that reuse is where the zero steady-state allocations
 // come from), so retained results must be copied.
 func TestSolverResultReuse(t *testing.T) {
-	s, err := NewSolver(WithBackend(BackendNative))
+	s, err := NewSolver(WithBackend(BackendIncremental))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,30 +79,37 @@ func TestSolverResultReuse(t *testing.T) {
 }
 
 // TestSolverSolveZeroAllocNative is the acceptance bar of the Solver
-// redesign: steady-state Solve on same-sized graphs, native backend,
-// allocates nothing — no labels, no scratch, no Result, no closures.
+// redesign: steady-state Solve on same-sized graphs on the fast
+// backend, under its canonical name and its "native" alias, allocates
+// nothing — no labels, no scratch, no Result, no snapshot, no
+// closures.
 func TestSolverSolveZeroAllocNative(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	s, err := NewSolver(WithBackend(BackendNative), WithWorkers(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	g := graph.Gnm(20000, 60000, 1)
-	ctx := context.Background()
-	if _, err := s.Solve(ctx, g); err != nil { // warm the buffers
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		res, err := s.Solve(ctx, g)
-		if err != nil || res.NumComponents == 0 {
-			t.Fatal("solve failed in alloc loop")
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state Solve allocates %.1f objects/op, want 0", allocs)
+	for _, name := range []string{"native", "incremental"} {
+		bk := mustParseBackend(t, name)
+		t.Run(name, func(t *testing.T) {
+			s, err := NewSolver(WithBackend(bk), WithWorkers(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			g := graph.Gnm(20000, 60000, 1)
+			ctx := context.Background()
+			if _, err := s.Solve(ctx, g); err != nil { // warm the buffers
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(10, func() {
+				res, err := s.Solve(ctx, g)
+				if err != nil || res.NumComponents == 0 {
+					t.Fatal("solve failed in alloc loop")
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("steady-state Solve allocates %.1f objects/op, want 0", allocs)
+			}
+		})
 	}
 }
 
@@ -172,8 +180,9 @@ func TestNewSolverUnregisteredBackend(t *testing.T) {
 func TestComponentsConcurrent(t *testing.T) {
 	g := graph.Gnm(3000, 9000, 21)
 	want := baseline.Components(g)
-	for _, bk := range []Backend{BackendNative, BackendIncremental} {
-		t.Run(bk.String(), func(t *testing.T) {
+	for _, name := range []string{"native", "incremental"} {
+		bk := mustParseBackend(t, name)
+		t.Run(name, func(t *testing.T) {
 			var wg sync.WaitGroup
 			for r := 0; r < 4; r++ {
 				wg.Add(1)

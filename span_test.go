@@ -9,15 +9,17 @@ import (
 	"testing"
 
 	"repro/graph"
+	"repro/internal/baseline"
 	"repro/internal/check"
 )
 
 // FuzzSpanPairEquivalence: for an arbitrary multigraph and an
-// arbitrary batch split, the three ways of reaching a labeling — the
-// columnar span replay (Service.IngestSpan), the boxed pair replay
-// (Service.Ingest), and a one-shot native solve — must agree exactly (all three
-// canonicalize to component minima, so equality is elementwise, not
-// merely up-to-relabeling).
+// arbitrary batch split, the three ways the fast backend reaches a
+// labeling — the columnar span replay (Service.IngestSpan), the boxed
+// pair replay (Service.Ingest), and a one-shot solve — must equal the
+// minimum-id oracle exactly (all three canonicalize to component
+// minima, so equality is elementwise, not merely up-to-relabeling),
+// and the simulated backend must induce the same partition.
 func FuzzSpanPairEquivalence(f *testing.F) {
 	f.Add(uint16(10), uint16(20), int64(1), uint64(1))
 	f.Add(uint16(100), uint16(50), int64(2), uint64(7))
@@ -28,12 +30,20 @@ func FuzzSpanPairEquivalence(f *testing.F) {
 		m := int(mRaw % 1500)
 		g := graph.Gnm(n, m, gseed)
 
-		nat, err := Components(g, WithBackend(BackendNative))
+		want := baseline.MinComponents(g)
+		one, err := Components(g, WithBackend(BackendIncremental))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := check.Components(g, nat.Labels); err != nil {
+		if !slices.Equal(one.Labels, want) {
+			t.Fatalf("one-shot labels differ from the oracle: %v vs %v", one.Labels, want)
+		}
+		sim, err := Components(g, WithSeed(uint64(gseed)))
+		if err != nil {
 			t.Fatal(err)
+		}
+		if err := check.SamePartition(sim.Labels, want); err != nil {
+			t.Fatalf("simulated: %v", err)
 		}
 
 		// Random contiguous cut points, shared by both replays.
@@ -63,11 +73,11 @@ func FuzzSpanPairEquivalence(f *testing.F) {
 
 		spanLabels := spanSv.LabelsInto(nil)
 		pairLabels := pairSv.Labels()
-		if !slices.Equal(spanLabels, nat.Labels) {
-			t.Fatalf("span labels differ from native: %v vs %v", spanLabels, nat.Labels)
+		if !slices.Equal(spanLabels, want) {
+			t.Fatalf("span labels differ from the oracle: %v vs %v", spanLabels, want)
 		}
-		if !slices.Equal(pairLabels, nat.Labels) {
-			t.Fatalf("pair labels differ from native: %v vs %v", pairLabels, nat.Labels)
+		if !slices.Equal(pairLabels, want) {
+			t.Fatalf("pair labels differ from the oracle: %v vs %v", pairLabels, want)
 		}
 	})
 }
@@ -115,17 +125,13 @@ func TestIncrementalSpanConcurrentReaders(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	nat, err := Components(g, WithBackend(BackendNative))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(sv.Labels(), nat.Labels) {
-		t.Fatal("final span-replayed labels differ from native")
+	if !slices.Equal(sv.Labels(), baseline.MinComponents(g)) {
+		t.Fatal("final span-replayed labels differ from the minimum-id oracle")
 	}
 }
 
-// TestServiceIngestSpan: the zero-copy service path equals the boxed
-// path and the one-shot native solve, and concurrent LabelsInto
+// TestServiceIngestSpan: the zero-copy service path equals the
+// minimum-id oracle and the one-shot solve, and concurrent LabelsInto
 // readers stay consistent during the span-ingest loop.
 func TestServiceIngestSpan(t *testing.T) {
 	g := graph.Gnm(3000, 12000, 13)
@@ -167,15 +173,15 @@ func TestServiceIngestSpan(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	nat, err := Components(g, WithBackend(BackendNative))
+	if !slices.Equal(last.Labels, baseline.MinComponents(g)) {
+		t.Fatal("IngestSpan labels differ from the minimum-id oracle")
+	}
+	one, err := Components(g, WithBackend(BackendIncremental))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(last.Labels, nat.Labels) {
-		t.Fatal("IngestSpan labels differ from native")
-	}
-	if last.NumComponents != nat.NumComponents {
-		t.Fatalf("IngestSpan components = %d, native %d", last.NumComponents, nat.NumComponents)
+	if last.NumComponents != one.NumComponents {
+		t.Fatalf("IngestSpan components = %d, one-shot %d", last.NumComponents, one.NumComponents)
 	}
 }
 
@@ -195,12 +201,12 @@ func TestServiceIngestSpanErrors(t *testing.T) {
 		t.Fatal("rejected span advanced the snapshot")
 	}
 
-	nat, err := NewService(4, WithBackend(BackendNative))
+	sim, err := NewService(4, WithBackend(BackendSimulated))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer nat.Close()
-	if _, err := nat.IngestSpan(context.Background(), graph.FromPairs([][2]int{{0, 1}})); err == nil {
+	defer sim.Close()
+	if _, err := sim.IngestSpan(context.Background(), graph.FromPairs([][2]int{{0, 1}})); err == nil {
 		t.Fatal("IngestSpan on a non-streaming backend accepted")
 	}
 }
